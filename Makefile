@@ -9,7 +9,7 @@ APSPVET := bin/apspvet
 APSPVET_SRC := $(wildcard cmd/apspvet/*.go internal/analysis/*.go \
 	internal/analysis/analysistest/*.go internal/analyzers/*.go)
 
-.PHONY: all build test race lint apspvet apspvet-baseline apspvet-sarif staticcheck govulncheck check cross-arm64 bench-smoke queryload-smoke chaos chaos-checkpoint checkpoint-smoke gemm-smoke shard-smoke update-smoke recovery-smoke bench-gemm bench-update
+.PHONY: all build test race lint apspvet apspvet-baseline apspvet-sarif staticcheck govulncheck check cross-arm64 bench-smoke queryload-smoke chaos chaos-checkpoint checkpoint-smoke gemm-smoke shard-smoke update-smoke recovery-smoke perfbench-check bench-gemm bench-update
 
 all: build test
 
@@ -185,6 +185,16 @@ update-smoke:
 # distances across workers at the converged generation.
 recovery-smoke:
 	./scripts/recovery_smoke.sh
+
+# The benchmark harness is a nested module (perfbench/go.mod), so the
+# root `go build ./...` / `go test ./...` never compile it and an API
+# change in core could break it unnoticed. Vet and test it in place,
+# then run two short workloads end to end through the same runner the
+# benchmark uses; a non-zero exit (build error, oracle mismatch) fails.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+	bash perfbench/run.sh --workload build_road --seed 1 --seconds 2 --trace 0
+	bash perfbench/run.sh --workload solve_mesh3d --seed 1 --seconds 2 --trace 0
 
 # Full density × size sweep of the GEMM engine legs (seed | staged AVX2
 # | fused packed full-ISA) plus the scalar-vs-vector variant table and

@@ -386,73 +386,67 @@ func imbalancedCliqueChains(chains, length, small, big int) (*Graph, order.Order
 
 // TestImbalancedCliqueChains pins the bench workload's structure (one
 // supernode per clique, width = chains at every chain level) and checks
-// both schedules produce the Floyd-Warshall reference on it.
+// the DAG schedule produces the Floyd-Warshall reference on it.
 func TestImbalancedCliqueChains(t *testing.T) {
 	const chains, length, small, big = 3, 4, 6, 14
 	g, ord := imbalancedCliqueChains(chains, length, small, big)
-	for _, sched := range []core.ScheduleKind{core.ScheduleDAG, core.ScheduleLevel} {
-		plan, err := core.NewPlan(g, core.Options{
-			Ordering: core.OrderCustom, Custom: &ord,
-			MaxBlock: big, EtreeParallel: true, Schedule: sched,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, want := plan.NumSupernodes(), chains*length+1; got != want {
-			t.Fatalf("workload built %d supernodes, want %d (one per clique)", got, want)
-		}
-		res, err := plan.SolveWith(4, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !res.Dense().EqualTol(core.Closure(g.ToDense()), 1e-9) {
-			t.Fatalf("schedule %v diverged from Floyd-Warshall on the clique-chain workload", sched)
-		}
+	plan, err := core.NewPlan(g, core.Options{
+		Ordering: core.OrderCustom, Custom: &ord,
+		MaxBlock: big, EtreeParallel: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := plan.NumSupernodes(), chains*length+1; got != want {
+		t.Fatalf("workload built %d supernodes, want %d (one per clique)", got, want)
+	}
+	res, err := plan.SolveWith(4, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Dense().EqualTol(core.Closure(g.ToDense()), 1e-9) {
+		t.Fatal("DAG schedule diverged from Floyd-Warshall on the clique-chain workload")
 	}
 }
 
-// BenchmarkScheduleImbalanced is the DAG-vs-level shootout on the
-// imbalanced etree: the dependency-driven schedule must meet or beat the
-// level-synchronous one here (and it is the repo default). Besides
-// ns/op, each run reports "overlap-ms" — how much work crossed etree
-// level boundaries concurrently (the would-be barrier wait the schedule
-// recovered, from the profiled level spans). Level-synchronous runs
-// report ~0 by construction; the DAG number is the structural win and is
-// hardware-independent, which matters because on a single-core host the
-// wall-clock times tie (barriers only waste time when cores sit idle).
+// BenchmarkScheduleImbalanced runs the dependency-driven schedule on the
+// imbalanced etree. Besides ns/op, each run reports "overlap-ms" — how
+// much work crossed etree level boundaries concurrently (the would-be
+// barrier wait of a level-synchronous schedule, from the profiled level
+// spans). The number is the structural win and is hardware-independent,
+// which matters because on a single-core host wall-clock times say
+// nothing about barriers (they only waste time when cores sit idle).
 func BenchmarkScheduleImbalanced(b *testing.B) {
 	g, ord := imbalancedCliqueChains(4, 8, 24, 160)
-	for _, sched := range []core.ScheduleKind{core.ScheduleLevel, core.ScheduleDAG} {
-		plan, err := core.NewPlan(g, core.Options{
-			Ordering: core.OrderCustom, Custom: &ord,
-			MaxBlock: 512, EtreeParallel: true, Schedule: sched,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(fmt.Sprintf("sched=%v", sched), func(b *testing.B) {
-			var overlap time.Duration
-			for i := 0; i < b.N; i++ {
-				_, prof, err := plan.SolveProfiled(4, true)
-				if err != nil {
-					b.Fatal(err)
-				}
-				var spans, end time.Duration
-				for _, l := range prof.Levels {
-					spans += l.Wall
-				}
-				for _, sp := range prof.Supernodes {
-					if e := sp.Start + sp.Wall; e > end {
-						end = e
-					}
-				}
-				if spans > end {
-					overlap += spans - end
+	plan, err := core.NewPlan(g, core.Options{
+		Ordering: core.OrderCustom, Custom: &ord,
+		MaxBlock: 512, EtreeParallel: true,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("sched=dag", func(b *testing.B) {
+		var overlap time.Duration
+		for i := 0; i < b.N; i++ {
+			_, prof, err := plan.SolveProfiled(4, true)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var spans, end time.Duration
+			for _, l := range prof.Levels {
+				spans += l.Wall
+			}
+			for _, sp := range prof.Supernodes {
+				if e := sp.Start + sp.Wall; e > end {
+					end = e
 				}
 			}
-			b.ReportMetric(float64(overlap.Milliseconds())/float64(b.N), "overlap-ms")
-		})
-	}
+			if spans > end {
+				overlap += spans - end
+			}
+		}
+		b.ReportMetric(float64(overlap.Milliseconds())/float64(b.N), "overlap-ms")
+	})
 }
 
 // BenchmarkLeafSizeAblation sweeps the nested-dissection leaf size: tiny

@@ -34,6 +34,8 @@ var snapMutators = map[string]bool{
 	"injectMin":    true,
 	"reeliminate":  true,
 	"eliminate":    true,
+	"factorize":    true,
+	"scatterOuter": true,
 }
 
 // snapBlockFields are the Factor fields holding mutable block storage.

@@ -16,6 +16,8 @@ func (f *Factor) resetBlocks(ks []int)     {}
 func (f *Factor) scatterEdges(edges []int) {}
 func (f *Factor) injectMin(e int)          {}
 func (f *Factor) reeliminate(ks []int)     {}
+func (f *Factor) factorize(threads int)    {}
+func (f *Factor) scatterOuter(k int)       {}
 func (f *Factor) cowClone(dirty []int) *Factor {
 	return &Factor{}
 }
@@ -56,6 +58,15 @@ func aliased(p *Patched, f *Factor) {
 	q := nf
 	p.Factor = nf
 	q.injectMin(1) // want `mutator call injectMin on q after the factor was published`
+}
+
+// Whole-factor elimination and the replay scatter write blocks too.
+func eliminationAfterPublish(p *Patched, f *Factor) {
+	nf := f.cowClone(nil)
+	nf.factorize(1) // clean: still private
+	p.Factor = nf
+	nf.scatterOuter(0) // want `mutator call scatterOuter on nf after the factor was published`
+	nf.factorize(2)    // want `mutator call factorize on nf after the factor was published`
 }
 
 // Composite-literal publication counts too.

@@ -41,37 +41,8 @@ func AutotuneMaxBlock(g *graph.Graph, opts Options, candidates []int) (best int,
 	return best, nil
 }
 
-// AutotuneSchedule times one numeric solve per schedule kind on the
-// graph (or a sampled subgraph, as in AutotuneMaxBlock) and returns the
-// faster of DAG and level-synchronous scheduling for these options. The
-// DAG schedule dominates on imbalanced elimination trees; on perfectly
-// balanced trees the two are within noise of each other, so the level
-// schedule can still win a coin flip.
-func AutotuneSchedule(g *graph.Graph, opts Options) (ScheduleKind, error) {
-	sample := autotuneSample(g)
-	best, bestTime := ScheduleDAG, time.Duration(1<<62-1)
-	for _, sched := range []ScheduleKind{ScheduleDAG, ScheduleLevel} {
-		o := opts
-		o.Schedule = sched
-		o.EtreeParallel = true
-		plan, err := NewPlan(sample, o)
-		if err != nil {
-			return best, err
-		}
-		res, err := plan.Solve()
-		if err != nil {
-			return best, err
-		}
-		if res.NumericTime < bestTime {
-			bestTime = res.NumericTime
-			best = sched
-		}
-	}
-	return best, nil
-}
-
 // AutotuneGemm picks the GEMM-engine tuning empirically, mirroring
-// AutotuneSchedule: it installs each candidate tuning, times a numeric
+// AutotuneMaxBlock: it installs each candidate tuning, times a numeric
 // solve on the graph (or a sampled subgraph) and keeps the fastest,
 // leaving the winner installed process-wide via semiring.SetGemmTuning.
 // The knobs it sweeps — pack-tile shape, the small-GEMM cutoff and the

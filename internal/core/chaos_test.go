@@ -78,6 +78,12 @@ func TestChaosSolveCancel(t *testing.T) {
 	if elapsed > 2*time.Second {
 		t.Errorf("cancellation took %v, not prompt", elapsed)
 	}
+	// The profiled entry point honors the plan's default context.
+	cancelled := *plan
+	cancelled.Opts.Context = ctx
+	if _, _, err := cancelled.SolveProfiled(4, true); !errors.Is(err, context.Canceled) {
+		t.Fatalf("SolveProfiled error = %v, want context.Canceled", err)
+	}
 }
 
 func TestChaosFactorPanicAttribution(t *testing.T) {
@@ -88,32 +94,43 @@ func TestChaosFactorPanicAttribution(t *testing.T) {
 		t.Fatal(err)
 	}
 	plan := chaosPlan(t)
-	for _, threads := range []int{1, 4} {
+	// The same attribution must hold for the dense solve's sequential
+	// profiled path, which runs every supernode on the caller goroutine.
+	runs := []struct {
+		point   string
+		threads int
+		run     func()
+	}{
+		{"core.factor.eliminate", 1, func() { _, _ = NewFactorCtx(context.Background(), plan, 1) }},
+		{"core.factor.eliminate", 4, func() { _, _ = NewFactorCtx(context.Background(), plan, 4) }},
+		{"core.eliminate", 1, func() { _, _, _ = plan.SolveProfiled(1, true) }},
+	}
+	for _, r := range runs {
 		fault.Reset()
-		if err := fault.Enable("core.factor.eliminate", "panic@5"); err != nil {
+		if err := fault.Enable(r.point, "panic@5"); err != nil {
 			t.Fatal(err)
 		}
 		func() {
 			defer func() {
-				r := recover()
-				if r == nil {
-					t.Fatalf("threads=%d: factorization did not panic", threads)
+				rec := recover()
+				if rec == nil {
+					t.Fatalf("%s threads=%d: did not panic", r.point, r.threads)
 				}
-				tp, ok := r.(*par.TaskPanic)
+				tp, ok := rec.(*par.TaskPanic)
 				if !ok {
-					t.Fatalf("threads=%d: panic value %T, want *par.TaskPanic", threads, r)
+					t.Fatalf("%s threads=%d: panic value %T, want *par.TaskPanic", r.point, r.threads, rec)
 				}
 				if tp.Node < 0 {
-					t.Errorf("threads=%d: panic lost node identity: %+v", threads, tp)
+					t.Errorf("%s threads=%d: panic lost node identity: %+v", r.point, r.threads, tp)
 				}
 				if !strings.Contains(tp.Error(), "injected panic") {
-					t.Errorf("threads=%d: panic message %q lost the cause", threads, tp.Error())
+					t.Errorf("%s threads=%d: panic message %q lost the cause", r.point, r.threads, tp.Error())
 				}
 				if len(tp.Stack) == 0 {
-					t.Errorf("threads=%d: panic lost the worker stack", threads)
+					t.Errorf("%s threads=%d: panic lost the worker stack", r.point, r.threads)
 				}
 			}()
-			_, _ = NewFactorCtx(context.Background(), plan, threads)
+			r.run()
 		}()
 	}
 }

@@ -140,7 +140,6 @@ func NewFactorCtx(ctx context.Context, p *Plan, threads int) (*Factor, error) {
 	if p.Opts.TrackPaths {
 		return nil, fmt.Errorf("core: factor solves do not support path tracking")
 	}
-	threads = par.DefaultThreads(threads)
 	K := p.Opts.Semiring
 	sn := p.Sn
 	ns := sn.NumSupernodes()
@@ -208,7 +207,7 @@ func NewFactorCtx(ctx context.Context, p *Plan, threads int) (*Factor, error) {
 	}
 
 	t0 := time.Now()
-	if err := f.factorize(ctx, threads, p.Opts.Schedule); err != nil {
+	if err := f.factorize(ctx, threads); err != nil {
 		return nil, err
 	}
 	f.FactorTime = time.Since(t0)
@@ -234,93 +233,44 @@ func (f *Factor) ancColumn(k, a, v int) (int, bool) {
 	return 0, false
 }
 
-// factorize runs the factor-only elimination, parallel over cousins with
-// target-block locks on shared ancestor updates. schedule follows the
-// same DAG/level split as Plan.eliminate: dependency-driven by default,
-// level-synchronous barriers on request. It returns ctx.Err() when the
-// context is cancelled mid-elimination; the partial factor must then be
-// discarded.
-func (f *Factor) factorize(ctx context.Context, threads int, schedule ScheduleKind) error {
-	sn := f.sn
-	if threads <= 1 {
-		cancellable := ctx.Done() != nil
-		for k := range sn.Ranges {
-			if cancellable {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-			}
-			par.Do("factorize", k, 1, func(k, w int) { f.eliminate(k, w, nil) })
-		}
-		return nil
-	}
-	locks := par.NewStripedMutex(1024)
-	if schedule == ScheduleLevel {
-		for _, level := range sn.Levels {
-			width := len(level)
-			inner := threads / width
-			if inner < 1 {
-				inner = 1
-			}
-			lk := locks
-			if width == 1 {
-				lk = nil
-			}
-			if err := par.ForCtx(ctx, width, threads, 1, func(i int) {
-				f.eliminate(level[i], inner, lk)
-			}); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	// DAG schedule: concurrently running supernodes are always cousins
-	// (a parent's pending count transitively waits on its whole subtree),
-	// so the supernode-id-keyed ancestor-block locks used by the level
-	// schedule serialize exactly the same collisions here.
-	lk := locks
-	if sn.NumSupernodes() == 1 {
-		lk = nil
-	}
-	return par.RunDAGCtx(ctx, sn.Parent, threads, func(k, inner int) {
-		f.eliminate(k, inner, lk)
-	})
+// factorize runs the factor-only elimination, always etree-parallel:
+// concurrently running supernodes are cousins, serialized on shared
+// ancestor blocks by supernode-id-keyed locks. It returns ctx.Err() when
+// the context is cancelled mid-elimination; the partial factor must then
+// be discarded.
+func (f *Factor) factorize(ctx context.Context, threads int) error {
+	return runSupernodes(ctx, f.sn, threads, true, f.eliminate)
 }
 
 // eliminate processes supernode k: close the diagonal, update the
 // panels, and scatter the ancestor×ancestor outer products into the
-// ancestors' own factor blocks. On the fused path the closed diagonal
-// is packed once and the down-panel update streams over the packed
-// tiles; the up-panel update stays on the staged MulAdd because there
-// the packed operand would alias the destination (B == C), and the
-// staged in-place form is the algorithm.
+// ancestors' own factor blocks. The closed diagonal is packed once and
+// the down-panel update streams over the packed tiles; the up-panel
+// update uses the unpacked MulAdd because there the packed operand
+// would alias the destination (B == C), and the in-place form is the
+// algorithm.
 func (f *Factor) eliminate(k, threads int, locks *par.StripedMutex) {
 	fault.Inject("core.factor.eliminate")
 	K := f.K
-	fused := fusedElim.Load() && K.MulAddPacked != nil
 	tDiag := time.Now()
 	K.FW(f.diag[k])
 	semiring.AddPhaseTime(semiring.PhaseDiag, time.Since(tDiag))
 	if f.ancOff[k][len(f.ancIDs[k])] == 0 {
-		semiring.CountElimination(fused)
+		semiring.CountElimination()
 		return
 	}
 	// Panels (in place; diagonal closed).
 	tPanel := time.Now()
 	K.MulAdd(f.up[k], f.diag[k], f.up[k]) //lint:ignore aliascheck in-place panel update is closed under min-plus: diag is closed with zero diagonal, so C=A is the algorithm
-	if fused {
-		Pd := K.PackPanel(f.diag[k])
-		K.MulAddPacked(f.down[k], f.down[k], Pd) //lint:ignore aliascheck symmetric in-place panel update; the packed operand is the closed diagonal, which the update never writes
-		Pd.Release()
-	} else {
-		K.MulAdd(f.down[k], f.down[k], f.diag[k]) //lint:ignore aliascheck symmetric in-place panel update against the closed zero-diagonal block
-	}
+	Pd := K.PackPanel(f.diag[k])
+	K.MulAddPacked(f.down[k], f.down[k], Pd) //lint:ignore aliascheck symmetric in-place panel update; the packed operand is the closed diagonal, which the update never writes
+	Pd.Release()
 	semiring.AddPhaseTime(semiring.PhasePanel, time.Since(tPanel))
 
 	tOuter := time.Now()
 	f.scatterOuter(k, threads, locks, nil)
 	semiring.AddPhaseTime(semiring.PhaseOuter, time.Since(tOuter))
-	semiring.CountElimination(fused)
+	semiring.CountElimination()
 }
 
 // scatterOuter applies supernode k's ancestor×ancestor outer products
@@ -342,22 +292,19 @@ func (f *Factor) scatterOuter(k, threads int, locks *par.StripedMutex, ownerFilt
 	s := sn.Ranges[k].Size()
 	anc := f.ancIDs[k]
 	na := len(anc)
-	// Fused path: the up-section of ancestor column j is the B operand of
-	// every (i, j) pair, so pack it once and reuse it na times. The
-	// targets are the ancestors' own blocks — never up[k] or down[k] — so
-	// the packed snapshot stays valid for the whole scatter. Columns no
-	// (i, j) pair will touch under ownerFilter are skipped.
-	var packs []*semiring.PackedPanel
-	if fusedElim.Load() && K.MulAddPacked != nil && na > 1 {
-		packs = make([]*semiring.PackedPanel, na)
-		for j := 0; j < na; j++ {
-			needed := ownerFilter == nil || ownerFilter[anc[j]]
-			for i := 0; !needed && i < j; i++ {
-				needed = ownerFilter[anc[i]] // (i<j, j) targets live on anc[i]
-			}
-			if needed {
-				packs[j] = K.PackPanel(f.up[k].View(0, f.ancOff[k][j], s, f.ancOff[k][j+1]-f.ancOff[k][j]))
-			}
+	// The up-section of ancestor column j is the B operand of every
+	// (i, j) pair, so pack it once and reuse it na times. The targets are
+	// the ancestors' own blocks — never up[k] or down[k] — so the packed
+	// snapshot stays valid for the whole scatter. Columns no (i, j) pair
+	// will touch under ownerFilter are left unpacked.
+	packs := make([]*semiring.PackedPanel, na)
+	for j := 0; j < na; j++ {
+		needed := ownerFilter == nil || ownerFilter[anc[j]]
+		for i := 0; !needed && i < j; i++ {
+			needed = ownerFilter[anc[i]] // (i<j, j) targets live on anc[i]
+		}
+		if needed {
+			packs[j] = K.PackPanel(f.up[k].View(0, f.ancOff[k][j], s, f.ancOff[k][j+1]-f.ancOff[k][j]))
 		}
 	}
 	par.For(na*na, threads, 1, func(idx int) {
@@ -373,7 +320,6 @@ func (f *Factor) scatterOuter(k, threads int, locks *par.StripedMutex, ownerFilt
 			}
 		}
 		src := f.down[k].View(f.ancOff[k][i], 0, f.ancOff[k][i+1]-f.ancOff[k][i], s)
-		srcR := f.up[k].View(0, f.ancOff[k][j], s, f.ancOff[k][j+1]-f.ancOff[k][j])
 		var target semiring.Mat
 		switch {
 		case i == j:
@@ -387,18 +333,13 @@ func (f *Factor) scatterOuter(k, threads int, locks *par.StripedMutex, ownerFilt
 			o := f.ancOff[aj]
 			target = f.down[aj].View(o[i-j-1], 0, o[i-j]-o[i-j-1], sn.Ranges[aj].Size())
 		}
-		mul := func() { K.MulAdd(target, src, srcR) }
-		if packs != nil && packs[j] != nil {
-			P := packs[j]
-			mul = func() { K.MulAddPacked(target, src, P) }
-		}
 		if locks != nil {
 			key := uint64(ai)*uint64(len(f.diag)) + uint64(aj)
 			locks.Lock(key)
-			mul()
+			K.MulAddPacked(target, src, packs[j])
 			locks.Unlock(key)
 		} else {
-			mul()
+			K.MulAddPacked(target, src, packs[j])
 		}
 	})
 	for _, P := range packs {

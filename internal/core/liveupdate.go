@@ -483,25 +483,7 @@ func (f *Factor) reeliminate(ctx context.Context, dirty []bool, replay bool, thr
 		}
 		return false
 	}
-	if threads <= 1 {
-		cancellable := ctx.Done() != nil
-		for k := range f.sn.Ranges {
-			if cancellable {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-			}
-			switch {
-			case dirty[k]:
-				f.eliminate(k, 1, nil)
-			case replay && touches(k):
-				f.scatterOuter(k, 1, nil, dirty)
-			}
-		}
-		return nil
-	}
-	locks := par.NewStripedMutex(1024)
-	return par.RunDAGCtx(ctx, f.sn.Parent, threads, func(k, inner int) {
+	return runSupernodes(ctx, f.sn, threads, true, func(k, inner int, locks *par.StripedMutex) {
 		switch {
 		case dirty[k]:
 			f.eliminate(k, inner, locks)

@@ -3,8 +3,8 @@
 // all-pairs shortest paths on sparse graphs.
 //
 // A Plan captures the symbolic phase — fill-reducing ordering, symbolic
-// analysis, supernode extraction, and the elimination-tree level schedule
-// — and can then be executed (numerically) any number of times, matching
+// analysis, supernode extraction, and the supernodal elimination tree —
+// and can then be executed (numerically) any number of times, matching
 // the analyze/factorize split of sparse direct solvers.
 //
 // Eliminating supernode k touches only the index set
@@ -75,37 +75,6 @@ func (k OrderingKind) String() string {
 	return fmt.Sprintf("OrderingKind(%d)", int(k))
 }
 
-// ScheduleKind selects how supernode eliminations are ordered across
-// workers when etree parallelism is on.
-type ScheduleKind int
-
-const (
-	// ScheduleDAG (default) is dependency-driven scheduling: every
-	// supernode carries a pending-children counter derived from the
-	// supernodal etree, leaves seed a ready queue, and completing a
-	// supernode enqueues its parent as soon as the last sibling finishes.
-	// There are no inter-level barriers; a pool of `threads` workers
-	// pulls ready supernodes, and intra-supernode parallelism kicks in
-	// only when the ready set is narrower than the pool.
-	ScheduleDAG ScheduleKind = iota
-	// ScheduleLevel is the paper's level-synchronous schedule: cousins
-	// within one etree level are eliminated concurrently with a full
-	// barrier between levels and a static threads/width split of the
-	// intra-supernode parallelism. Kept for comparison (Fig 8) and for
-	// per-barrier profiling.
-	ScheduleLevel
-)
-
-func (s ScheduleKind) String() string {
-	switch s {
-	case ScheduleDAG:
-		return "dag"
-	case ScheduleLevel:
-		return "level"
-	}
-	return fmt.Sprintf("ScheduleKind(%d)", int(s))
-}
-
 // Options configure plan construction and execution defaults.
 type Options struct {
 	// Ordering selects the fill-reducing ordering (default OrderND).
@@ -125,13 +94,11 @@ type Options struct {
 	Threads int
 	// EtreeParallel enables elimination-tree parallelism, the paper's
 	// cousin parallelism (default true via NewPlan; Fig 8 ablates it).
-	// With it disabled, supernodes are eliminated one at a time and only
-	// intra-supernode parallelism remains.
+	// A supernode is eliminated as soon as its last child completes,
+	// with no barriers between etree levels. With it disabled,
+	// supernodes are eliminated one at a time and only intra-supernode
+	// parallelism remains.
 	EtreeParallel bool
-	// Schedule picks the inter-supernode schedule used when
-	// EtreeParallel is on: dependency-driven DAG scheduling (the
-	// default) or the level-synchronous barrier schedule.
-	Schedule ScheduleKind
 	// FundamentalSupernodes restricts symbolically-derived supernodes
 	// (BFS/RCM/Natural orderings) to exact fundamental supernodes
 	// instead of relaxed etree chains. The engine's reach sets are

@@ -8,12 +8,12 @@ package core
 //
 // Attribution is per-supernode: every elimination records its start
 // offset and duration relative to the start of the numeric phase. Level
-// summaries are derived from the supernode spans, which keeps them
-// meaningful under both schedules — under the level-synchronous schedule
-// a level's span is the barrier-to-barrier wall time, while under the
-// DAG schedule spans of adjacent levels overlap, and the difference
-// between the sum of level spans and the phase wall time is exactly the
-// barrier cost the DAG schedule recovered.
+// summaries are derived from the supernode spans. When cousins run
+// concurrently, spans of adjacent levels overlap, and the difference
+// between the sum of level spans and the phase wall time is the barrier
+// wait a level-synchronous schedule would have spent. A sequential run
+// walks supernodes in postorder, which interleaves levels without any
+// concurrency, so there the overlap means nothing and is not reported.
 
 import (
 	"fmt"
@@ -23,7 +23,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/par"
 	"repro/internal/semiring"
 )
 
@@ -43,7 +42,8 @@ type Profile struct {
 	// numeric phase (see Result.Kernel for the concurrency caveat).
 	Kernel semiring.KernelCounters
 
-	mu sync.Mutex // guards Supernodes during the solve
+	mu         sync.Mutex // guards Supernodes during the solve
+	concurrent bool       // cousins could run at the same time
 }
 
 // SupernodeProfile is the elimination span of one supernode, relative to
@@ -58,9 +58,9 @@ type SupernodeProfile struct {
 }
 
 // LevelProfile is the wall-clock footprint of one etree level: the span
-// from its first supernode start to its last supernode end. Under the
-// level-synchronous schedule this is the barrier-to-barrier wall time;
-// under the DAG schedule spans of different levels overlap.
+// from its first supernode start to its last supernode end. Spans of
+// different levels overlap, both under concurrent cousins and under the
+// sequential postorder walk.
 type LevelProfile struct {
 	Level      int
 	Supernodes int
@@ -76,7 +76,9 @@ func (pr *Profile) record(sp SupernodeProfile) {
 }
 
 // finish sorts the supernode spans and derives the level summaries.
-func (pr *Profile) finish(numLevels int) {
+// concurrent records whether the run was etree-parallel.
+func (pr *Profile) finish(numLevels int, concurrent bool) {
+	pr.concurrent = concurrent
 	sort.Slice(pr.Supernodes, func(i, j int) bool {
 		a, b := pr.Supernodes[i], pr.Supernodes[j]
 		if a.Start != b.Start {
@@ -128,10 +130,9 @@ func (pr *Profile) String() string {
 			fmt.Fprintf(&b, "  level %2d: %4d supernodes, %6d vertices, %10v\n",
 				l.Level, l.Supernodes, l.Vertices, l.Wall.Round(time.Microsecond))
 		}
-		if end := pr.phaseEnd(); end > 0 && sum > end {
-			// Overlapping level spans: the DAG schedule ran supernodes of
-			// different levels concurrently instead of idling at
-			// barriers.
+		if end := pr.phaseEnd(); pr.concurrent && end > 0 && sum > end {
+			// Overlapping level spans: supernodes of different levels ran
+			// concurrently instead of idling at barriers.
 			fmt.Fprintf(&b, "  level spans sum to %v over a %v phase: %v of would-be barrier wait overlapped\n",
 				sum.Round(time.Microsecond), end.Round(time.Microsecond), (sum - end).Round(time.Microsecond))
 		}
@@ -144,9 +145,9 @@ func (pr *Profile) String() string {
 		fmt.Fprintf(&b, "gemm kernels: %d calls (%.0f%% dense, %d shards), %d fused ops, %s packed\n",
 			k.Calls, 100*k.DenseRatio(), k.ParallelShards, k.FusedOps, fmtBytes(k.PackedBytes))
 	}
-	if k := pr.Kernel; k.FusedElims+k.StagedElims > 0 {
-		fmt.Fprintf(&b, "fused pipeline: %d fused / %d staged eliminations, %s pack reuse; phase footprint diag %v, panel %v, outer %v",
-			k.FusedElims, k.StagedElims, fmtBytes(k.PackedReuseBytes),
+	if k := pr.Kernel; k.Elims > 0 {
+		fmt.Fprintf(&b, "fused pipeline: %d eliminations, %s pack reuse; phase footprint diag %v, panel %v, outer %v",
+			k.Elims, fmtBytes(k.PackedReuseBytes),
 			time.Duration(k.DiagNS).Round(time.Microsecond),
 			time.Duration(k.PanelNS).Round(time.Microsecond),
 			time.Duration(k.OuterNS).Round(time.Microsecond))
@@ -194,82 +195,14 @@ func (pr *Profile) slowestSupernode() (SupernodeProfile, bool) {
 
 // SolveProfiled is SolveWith plus stage/supernode accounting. The
 // accounting adds two clock reads per update task; for realistic
-// supernode sizes the overhead is well under 1%.
+// supernode sizes the overhead is well under 1%. Options.Context is
+// honored as the cancellation context.
 func (p *Plan) SolveProfiled(threads int, etreeParallel bool) (*Result, *Profile, error) {
 	K := p.Opts.Semiring
-	D := p.PG.ToDenseWith(K.Zero, K.One)
-	st := &state{D: D, track: p.Opts.TrackPaths, K: K, prof: &Profile{}}
-	if st.track {
-		st.next = semiring.NewIntMat(D.Rows, D.Cols)
-		semiring.InitNextHops(D, st.next)
+	prof := &Profile{}
+	res, err := p.finish(p.Opts.context(), p.PG.ToDenseWith(K.Zero, K.One), threads, etreeParallel, prof)
+	if res == nil {
+		return nil, nil, err
 	}
-	k0 := semiring.ReadKernelCounters()
-	t0 := time.Now()
-	p.eliminateProfiled(st, threads, etreeParallel)
-	st.prof.Kernel = semiring.ReadKernelCounters().Sub(k0)
-	res := &Result{D: D, Next: st.next, Perm: p.Perm, IPerm: p.IPerm,
-		NumericTime: time.Since(t0), Kernel: st.prof.Kernel}
-	if K.DetectNegCycle && res.HasNegativeCycle() {
-		return res, st.prof, fmt.Errorf("core: graph contains a negative-weight cycle")
-	}
-	return res, st.prof, nil
-}
-
-// eliminateProfiled mirrors eliminate but wraps every supernode
-// elimination in span accounting (the per-stage accounting lives in
-// eliminateSupernode via state.prof).
-func (p *Plan) eliminateProfiled(st *state, threads int, etreeParallel bool) {
-	threads = par.DefaultThreads(threads)
-	sn := p.Sn
-	levelOf := sn.LevelOf()
-	t0 := time.Now()
-	run := func(k, inner int, locks *par.StripedMutex) {
-		start := time.Since(t0)
-		p.eliminateSupernode(st, k, inner, locks)
-		st.prof.record(SupernodeProfile{
-			Supernode: k,
-			Level:     levelOf[k],
-			Vertices:  sn.Ranges[k].Size(),
-			Workers:   inner,
-			Start:     start,
-			Wall:      time.Since(t0) - start,
-		})
-	}
-	switch {
-	case threads <= 1 || !etreeParallel:
-		// Sequential mode iterates levels (not raw postorder) so the
-		// per-level accounting is comparable across modes; level order is
-		// also a valid elimination order (children precede parents).
-		for _, nodes := range sn.Levels {
-			for _, k := range nodes {
-				run(k, threads, nil)
-			}
-		}
-	case p.Opts.Schedule == ScheduleLevel:
-		locks := par.NewStripedMutex(1024)
-		for _, level := range sn.Levels {
-			level := level
-			width := len(level)
-			inner := threads / width
-			if inner < 1 {
-				inner = 1
-			}
-			lk := locks
-			if width == 1 {
-				lk = nil
-			}
-			par.For(width, threads, 1, func(i int) {
-				run(level[i], inner, lk)
-			})
-		}
-	default:
-		lk := par.NewStripedMutex(1024)
-		if sn.NumSupernodes() == 1 {
-			lk = nil
-		}
-		par.RunDAG(sn.Parent, threads, func(k, inner int) {
-			run(k, inner, lk)
-		})
-	}
-	st.prof.finish(len(sn.Levels))
+	return res, prof, err
 }

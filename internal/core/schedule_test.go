@@ -11,13 +11,12 @@ import (
 	"repro/internal/semiring"
 )
 
-// Schedule equivalence: the DAG schedule, the level-synchronous schedule
-// and the sequential postorder traversal are three executions of the
-// same elimination and must produce identical results — across
-// orderings (balanced ND trees, skinny BFS/natural etrees) and
-// semirings. Distances are deterministic under all three (min-plus ⊕ is
-// associative/commutative), so exact comparison up to float tolerance is
-// the right check.
+// Schedule equivalence: the DAG schedule and the sequential postorder
+// traversal are two executions of the same elimination and must produce
+// identical results — across orderings (balanced ND trees, skinny
+// BFS/natural etrees) and semirings. Distances are deterministic under
+// both (min-plus ⊕ is associative/commutative), so exact comparison up
+// to float tolerance is the right check.
 
 func TestScheduleEquivalence(t *testing.T) {
 	graphs := map[string]*graph.Graph{
@@ -33,29 +32,21 @@ func TestScheduleEquivalence(t *testing.T) {
 				name := fmt.Sprintf("%s/%v/%s", gname, ok, K.Name)
 				t.Run(name, func(t *testing.T) {
 					opts := Options{Ordering: ok, EtreeParallel: true, Semiring: K, MaxBlock: 48}
-					seqPlan, err := NewPlan(g, opts)
+					plan, err := NewPlan(g, opts)
 					if err != nil {
 						t.Fatal(err)
 					}
 					// Sequential reference: one supernode at a time.
-					ref, err := seqPlan.SolveWith(1, false)
+					ref, err := plan.SolveWith(1, false)
 					if err != nil {
 						t.Fatal(err)
 					}
-					for _, sched := range []ScheduleKind{ScheduleDAG, ScheduleLevel} {
-						o := opts
-						o.Schedule = sched
-						plan, err := NewPlan(g, o)
-						if err != nil {
-							t.Fatal(err)
-						}
-						res, err := plan.SolveWith(4, true)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if !res.Dense().EqualTol(ref.Dense(), 1e-9) {
-							t.Fatalf("%v schedule diverged from sequential elimination", sched)
-						}
+					res, err := plan.SolveWith(4, true)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !res.Dense().EqualTol(ref.Dense(), 1e-9) {
+						t.Fatal("DAG schedule diverged from sequential elimination")
 					}
 				})
 			}
@@ -64,28 +55,24 @@ func TestScheduleEquivalence(t *testing.T) {
 }
 
 // TestScheduleEquivalenceRandom fuzzes small random graphs (including
-// disconnected ones) through both parallel schedules at several thread
-// counts against the dense Floyd-Warshall reference.
+// disconnected ones) through the DAG schedule at several thread counts
+// against the dense Floyd-Warshall reference.
 func TestScheduleEquivalenceRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 25; trial++ {
 		g := randomGraph(rng)
 		want := Closure(g.ToDense())
-		for _, sched := range []ScheduleKind{ScheduleDAG, ScheduleLevel} {
-			opts := DefaultOptions()
-			opts.Schedule = sched
-			plan, err := NewPlan(g, opts)
+		plan, err := NewPlan(g, DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, threads := range []int{2, 8} {
+			res, err := plan.SolveWith(threads, true)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, threads := range []int{2, 8} {
-				res, err := plan.SolveWith(threads, true)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !res.Dense().EqualTol(want, 1e-9) {
-					t.Fatalf("trial %d: %v schedule threads=%d diverged from Floyd-Warshall", trial, sched, threads)
-				}
+			if !res.Dense().EqualTol(want, 1e-9) {
+				t.Fatalf("trial %d: DAG schedule threads=%d diverged from Floyd-Warshall", trial, threads)
 			}
 		}
 	}
@@ -98,7 +85,6 @@ func TestSchedulePathTracking(t *testing.T) {
 	g := gen.GeometricKNN(150, 2, 3, gen.WeightUniform, 23)
 	opts := DefaultOptions()
 	opts.TrackPaths = true
-	opts.Schedule = ScheduleDAG
 	plan, err := NewPlan(g, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -136,37 +122,26 @@ func TestSchedulePathTracking(t *testing.T) {
 }
 
 // TestFactorScheduleEquivalence: the factor-only elimination must produce
-// identical SSSP rows under both schedules and sequential factorization.
+// identical SSSP rows under the DAG schedule and sequential
+// factorization.
 func TestFactorScheduleEquivalence(t *testing.T) {
 	g := gen.RoadNetwork(14, 14, 0.3, 31)
-	ref := func() []float64 {
-		opts := DefaultOptions()
-		plan, err := NewPlan(g, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		f, err := NewFactor(plan, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return f.SSSP(3)
-	}()
-	for _, sched := range []ScheduleKind{ScheduleDAG, ScheduleLevel} {
-		opts := DefaultOptions()
-		opts.Schedule = sched
-		plan, err := NewPlan(g, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		f, err := NewFactor(plan, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := f.SSSP(3)
-		for i := range got {
-			if math.Abs(got[i]-ref[i]) > 1e-9 && !(math.IsInf(got[i], 1) && math.IsInf(ref[i], 1)) {
-				t.Fatalf("%v factor: SSSP[%d] = %v, want %v", sched, i, got[i], ref[i])
-			}
+	plan, err := NewPlan(g, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq, err := NewFactor(plan, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := NewFactor(plan, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, ref := f.SSSP(3), seq.SSSP(3)
+	for i := range got {
+		if math.Abs(got[i]-ref[i]) > 1e-9 && !(math.IsInf(got[i], 1) && math.IsInf(ref[i], 1)) {
+			t.Fatalf("DAG factor: SSSP[%d] = %v, want %v", i, got[i], ref[i])
 		}
 	}
 }

@@ -46,7 +46,7 @@ func (p *Plan) SolveWith(threads int, etreeParallel bool) (*Result, error) {
 func (p *Plan) solveWithCtx(ctx context.Context, threads int, etreeParallel bool) (*Result, error) {
 	K := p.Opts.Semiring
 	D := p.PG.ToDenseWith(K.Zero, K.One)
-	return p.finish(ctx, D, threads, etreeParallel)
+	return p.finish(ctx, D, threads, etreeParallel, nil)
 }
 
 // SolveInitMatrix runs the numeric phase on a caller-supplied initial
@@ -68,7 +68,7 @@ func (p *Plan) SolveInitMatrixCtx(ctx context.Context, init semiring.Mat, thread
 	}
 	D := semiring.NewMat(n, n)
 	semiring.Permute(D, init, p.Perm)
-	return p.finish(ctx, D, threads, etreeParallel)
+	return p.finish(ctx, D, threads, etreeParallel, nil)
 }
 
 // state bundles the matrices a numeric solve operates on and the
@@ -107,7 +107,7 @@ func (s *state) mul(C, A, B semiring.Mat, nc, na semiring.IntMat) {
 	}
 }
 
-// mulPacked is mul against a pre-packed B panel (fused path).
+// mulPacked is mul against a pre-packed B panel.
 func (s *state) mulPacked(C, A semiring.Mat, P *semiring.PackedPanel, nc, na semiring.IntMat) {
 	if s.track {
 		s.K.MulAddPathsPacked(C, A, P, nc, na)
@@ -116,89 +116,78 @@ func (s *state) mulPacked(C, A semiring.Mat, P *semiring.PackedPanel, nc, na sem
 	}
 }
 
-// fused reports whether this solve should run the fused packed-panel
-// pipeline (toggle on and the kernel bundle provides the entry points).
-func (s *state) fused() bool {
-	return fusedElim.Load() && s.K.MulAddPacked != nil &&
-		(!s.track || s.K.MulAddPathsPacked != nil)
-}
-
-func (p *Plan) finish(ctx context.Context, D semiring.Mat, threads int, etreeParallel bool) (*Result, error) {
-	st := &state{D: D, track: p.Opts.TrackPaths, K: p.Opts.Semiring}
+// finish runs the numeric phase on the permuted matrix D. A non-nil
+// prof records a span per supernode and is finalized on success. It
+// returns ctx.Err() when the context is cancelled mid-elimination; the
+// partially relaxed matrix is then discarded.
+func (p *Plan) finish(ctx context.Context, D semiring.Mat, threads int, etreeParallel bool, prof *Profile) (*Result, error) {
+	st := &state{D: D, track: p.Opts.TrackPaths, K: p.Opts.Semiring, prof: prof}
 	if st.track {
 		st.next = semiring.NewIntMat(D.Rows, D.Cols)
 		semiring.InitNextHops(D, st.next)
 	}
+	var levelOf []int
+	if prof != nil {
+		levelOf = p.Sn.LevelOf()
+	}
 	k0 := semiring.ReadKernelCounters()
 	t0 := time.Now()
-	if err := p.eliminate(ctx, st, par.DefaultThreads(threads), etreeParallel); err != nil {
+	err := runSupernodes(ctx, p.Sn, threads, etreeParallel, func(k, inner int, locks *par.StripedMutex) {
+		start := time.Since(t0)
+		p.eliminateSupernode(st, k, inner, locks)
+		if prof != nil {
+			prof.record(SupernodeProfile{
+				Supernode: k,
+				Level:     levelOf[k],
+				Vertices:  p.Sn.Ranges[k].Size(),
+				Workers:   inner,
+				Start:     start,
+				Wall:      time.Since(t0) - start,
+			})
+		}
+	})
+	if err != nil {
 		return nil, err
 	}
 	res := &Result{D: D, Next: st.next, Perm: p.Perm, IPerm: p.IPerm,
 		NumericTime: time.Since(t0), Kernel: semiring.ReadKernelCounters().Sub(k0)}
+	if prof != nil {
+		prof.Kernel = res.Kernel
+		prof.finish(len(p.Sn.Levels), etreeParallel && par.DefaultThreads(threads) > 1)
+	}
 	if st.K.DetectNegCycle && res.HasNegativeCycle() {
 		return res, fmt.Errorf("core: graph contains a negative-weight cycle")
 	}
 	return res, nil
 }
 
-// eliminate runs the supernodal elimination (Algorithm 3) on the permuted
-// dense matrix. It returns ctx.Err() when the context is cancelled
-// mid-elimination; the partially relaxed matrix must then be discarded.
-func (p *Plan) eliminate(ctx context.Context, st *state, threads int, etreeParallel bool) error {
-	sn := p.Sn
-	cancellable := ctx.Done() != nil
-	if threads <= 1 || !etreeParallel {
-		// Sequential supernode traversal in ascending (postorder) index
-		// order; intra-supernode updates may still run in parallel.
-		for k := range sn.Ranges {
-			if cancellable {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-			}
-			par.Do("eliminate", k, threads, func(k, w int) { p.eliminateSupernode(st, k, w, nil) })
+// runSupernodes is the one elimination driver of the package: it calls
+// fn(k, inner, locks) once per supernode of sn, every child before its
+// parent — the only ordering Algorithm 3 needs. With etree parallelism
+// (and threads > 1) a supernode starts as soon as its last child
+// completes, with no inter-level barriers; any two supernodes running
+// at once are mutually non-ancestral, i.e. cousins, so only their
+// ancestor×ancestor updates can collide, and locks serializes those.
+// Otherwise supernodes run one at a time in postorder on the caller's
+// goroutine with inner = threads, and locks is nil. A panic in fn is
+// re-raised as a *par.TaskPanic naming the supernode; a cancelled ctx
+// stops the run between supernodes and returns ctx.Err().
+func runSupernodes(ctx context.Context, sn *symbolic.Supernodes, threads int, etreeParallel bool,
+	fn func(k, inner int, locks *par.StripedMutex)) error {
+	threads = par.DefaultThreads(threads)
+	workers := threads
+	if !etreeParallel {
+		workers = 1
+	}
+	var locks *par.StripedMutex
+	if workers > 1 && sn.NumSupernodes() > 1 {
+		locks = par.NewStripedMutex(1024)
+	}
+	return par.RunDAGCtx(ctx, sn.Parent, workers, func(k, inner int) {
+		if workers == 1 {
+			inner = threads
 		}
-		return nil
-	}
-	if p.Opts.Schedule == ScheduleLevel {
-		// Etree level scheduling: supernodes within a level are cousins
-		// and are eliminated concurrently; only their A(k)×A(k) outer
-		// updates can collide, serialized by tile-keyed striped locks. A
-		// barrier between levels enforces child-before-parent ordering.
-		locks := par.NewStripedMutex(1024)
-		for _, level := range sn.Levels {
-			width := len(level)
-			inner := threads / width
-			if inner < 1 {
-				inner = 1
-			}
-			lk := locks
-			if width == 1 {
-				lk = nil // single supernode in the level: no collisions
-			}
-			if err := par.ForCtx(ctx, width, threads, 1, func(i int) {
-				p.eliminateSupernode(st, level[i], inner, lk)
-			}); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	// Dependency-driven DAG scheduling: a supernode is eliminated as soon
-	// as its last child completes, with no inter-level barriers. Any two
-	// concurrently running supernodes are mutually non-ancestral (an
-	// ancestor's pending count transitively waits on every descendant),
-	// i.e. cousins — so exactly as in the level schedule, only their
-	// A(k)×A(k) outer updates can collide, and the same tile-keyed
-	// striped locks serialize them. Tiles are anchored at supernode range
-	// starts, so cousins derive identical ancestor tiles.
-	lk := par.NewStripedMutex(1024)
-	if sn.NumSupernodes() == 1 {
-		lk = nil
-	}
-	return par.RunDAGCtx(ctx, sn.Parent, threads, func(k, inner int) {
-		p.eliminateSupernode(st, k, inner, lk)
+		fn(k, inner, locks)
 	})
 }
 
@@ -262,7 +251,6 @@ func (p *Plan) eliminateSupernode(st *state, k, threads int, locks *par.StripedM
 	s := r.Size()
 	D := st.D
 	Akk := D.View(r.Lo, r.Lo, s, s)
-	fused := st.fused()
 
 	// DiagUpdate.
 	tDiag := time.Now()
@@ -281,18 +269,15 @@ func (p *Plan) eliminateSupernode(st *state, k, threads int, locks *par.StripedM
 
 	tiles := p.reachTiles(k)
 	if len(tiles) == 0 {
-		semiring.CountElimination(fused)
+		semiring.CountElimination()
 		return
 	}
 
-	// Fused path: the closed diagonal block is the B operand of every
-	// column-panel update, so pack it once and reuse it across all
-	// tiles. Reach tiles never overlap k's own range, so no panel write
-	// touches the packed snapshot.
-	var Pd *semiring.PackedPanel
-	if fused {
-		Pd = st.K.PackPanel(Akk)
-	}
+	// The closed diagonal block is the B operand of every column-panel
+	// update, so pack it once and reuse it across all tiles. Reach tiles
+	// never overlap k's own range, so no panel write touches the packed
+	// snapshot.
+	Pd := st.K.PackPanel(Akk)
 
 	// PanelUpdate: for every reach tile t, the row panel A(k,t) from the
 	// left and the column panel A(t,k) from the right. Next-hop sources:
@@ -300,7 +285,7 @@ func (p *Plan) eliminateSupernode(st *state, k, threads int, locks *par.StripedM
 	// the first hop comes from next(k-range, k-range); a column-panel
 	// improvement's first hop comes from next(t, k-range) — the operand
 	// that plays the A role in C = C ⊕ A⊗B, in both cases. Row panels
-	// stay on the staged MulAdd (their B operand is the destination
+	// use the unpacked MulAdd (their B operand is the destination
 	// itself); column panels consume the packed diagonal.
 	par.For(2*len(tiles), threads, 1, func(i int) {
 		tPanel := time.Now()
@@ -311,36 +296,27 @@ func (p *Plan) eliminateSupernode(st *state, k, threads int, locks *par.StripedM
 		} else {
 			P := D.View(t.lo, r.Lo, t.hi-t.lo, s)
 			nc := st.iview(t.lo, r.Lo, t.hi-t.lo, s)
-			if Pd != nil {
-				st.mulPacked(P, P, Pd, nc, nc)
-			} else {
-				st.mul(P, P, Akk, nc, nc)
-			}
+			st.mulPacked(P, P, Pd, nc, nc)
 		}
 		semiring.AddPhaseTime(semiring.PhasePanel, time.Since(tPanel))
 		if st.prof != nil {
 			st.addStage(&st.prof.Panel, tPanel)
 		}
 	})
-	if Pd != nil {
-		Pd.Release()
-	}
+	Pd.Release()
 
 	// OuterUpdate: A(ti,tj) ← A(ti,tj) ⊕ A(ti,k) ⊗ A(k,tj) over the full
 	// reach×reach grid. Only ancestor×ancestor targets can be written by
-	// concurrent cousin eliminations. Fused path: the row panel A(k,tj)
-	// is the B operand of the whole tj column of the grid, so pack each
-	// once (in parallel) and reuse it nt times; outer writes land on
-	// reach×reach blocks, never on k's rows, so the snapshots stay valid.
+	// concurrent cousin eliminations. The row panel A(k,tj) is the B
+	// operand of the whole tj column of the grid, so pack each once (in
+	// parallel) and reuse it nt times; outer writes land on reach×reach
+	// blocks, never on k's rows, so the snapshots stay valid.
 	nt := len(tiles)
-	var rowPacks []*semiring.PackedPanel
-	if fused && nt > 1 {
-		rowPacks = make([]*semiring.PackedPanel, nt)
-		par.For(nt, threads, 1, func(j int) {
-			tj := tiles[j]
-			rowPacks[j] = st.K.PackPanel(D.View(r.Lo, tj.lo, s, tj.hi-tj.lo))
-		})
-	}
+	rowPacks := make([]*semiring.PackedPanel, nt)
+	par.For(nt, threads, 1, func(j int) {
+		tj := tiles[j]
+		rowPacks[j] = st.K.PackPanel(D.View(r.Lo, tj.lo, s, tj.hi-tj.lo))
+	})
 	par.For(nt*nt, threads, 0, func(idx int) {
 		tOuter := time.Now()
 		ti, tj := tiles[idx/nt], tiles[idx%nt]
@@ -348,21 +324,13 @@ func (p *Plan) eliminateSupernode(st *state, k, threads int, locks *par.StripedM
 		colPanel := D.View(ti.lo, r.Lo, ti.hi-ti.lo, s)
 		nc := st.iview(ti.lo, tj.lo, ti.hi-ti.lo, tj.hi-tj.lo)
 		na := st.iview(ti.lo, r.Lo, ti.hi-ti.lo, s)
-		mul := func() {
-			rowPanel := D.View(r.Lo, tj.lo, s, tj.hi-tj.lo)
-			st.mul(target, colPanel, rowPanel, nc, na)
-		}
-		if rowPacks != nil {
-			P := rowPacks[idx%nt]
-			mul = func() { st.mulPacked(target, colPanel, P, nc, na) }
-		}
 		if locks != nil && ti.ancestor && tj.ancestor {
 			key := uint64(ti.lo)*uint64(D.Rows) + uint64(tj.lo)
 			locks.Lock(key)
-			mul()
+			st.mulPacked(target, colPanel, rowPacks[idx%nt], nc, na)
 			locks.Unlock(key)
 		} else {
-			mul()
+			st.mulPacked(target, colPanel, rowPacks[idx%nt], nc, na)
 		}
 		semiring.AddPhaseTime(semiring.PhaseOuter, time.Since(tOuter))
 		if st.prof != nil {
@@ -370,11 +338,9 @@ func (p *Plan) eliminateSupernode(st *state, k, threads int, locks *par.StripedM
 		}
 	})
 	for _, P := range rowPacks {
-		if P != nil {
-			P.Release()
-		}
+		P.Release()
 	}
-	semiring.CountElimination(fused)
+	semiring.CountElimination()
 }
 
 // Closure is the reference dense solution: it runs the scalar

@@ -310,8 +310,11 @@ func TestSolveProfiled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, threads := range []int{1, 4} {
-		res, prof, err := plan.SolveProfiled(threads, true)
+	for _, c := range []struct {
+		threads int
+		etree   bool
+	}{{1, true}, {4, false}, {4, true}} {
+		res, prof, err := plan.SolveProfiled(c.threads, c.etree)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -339,14 +342,19 @@ func TestSolveProfiled(t *testing.T) {
 			t.Errorf("profile kernel counters %+v should be non-zero and match result %+v",
 				prof.Kernel, res.Kernel)
 		}
-		if prof.Kernel.FusedElims+prof.Kernel.StagedElims == 0 {
-			t.Error("no eliminations recorded in the fused/staged counters")
+		if prof.Kernel.Elims == 0 {
+			t.Error("no eliminations recorded in the elimination counter")
 		}
 		if prof.Kernel.DiagNS == 0 || prof.Kernel.OuterNS == 0 {
 			t.Errorf("per-phase timings missing from kernel counters: %+v", prof.Kernel)
 		}
 		if !strings.Contains(prof.String(), "fused pipeline") {
 			t.Error("profile rendering missing the fused-pipeline line")
+		}
+		// A sequential run walks supernodes in postorder, so level spans
+		// overlap without any concurrency: no barrier wait to report.
+		if (c.threads == 1 || !c.etree) && strings.Contains(prof.String(), "would-be barrier wait") {
+			t.Errorf("threads=%d etree=%v: sequential profile reports barrier overlap:\n%s", c.threads, c.etree, prof)
 		}
 	}
 }

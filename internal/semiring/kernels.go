@@ -33,7 +33,8 @@ type Kernels struct {
 	// MulAddPacked computes C = C ⊕ A⊗P against a panel packed once
 	// with PackPanel — the fused pipeline's reuse-many entry point
 	// (fused.go). Serial; callers own the parallel decomposition, and
-	// C must not alias the packed operand.
+	// C must not alias the packed operand. Required: every supernode
+	// elimination in core runs through the packed entry points.
 	MulAddPacked func(C, A Mat, P *PackedPanel)
 	// MulAddPathsPacked is MulAddPacked with next-hop maintenance.
 	MulAddPathsPacked func(C, A Mat, P *PackedPanel, nextC, nextA IntMat)
