@@ -189,12 +189,15 @@ recovery-smoke:
 # The benchmark harness is a nested module (perfbench/go.mod), so the
 # root `go build ./...` / `go test ./...` never compile it and an API
 # change in core could break it unnoticed. Vet and test it in place,
-# then run two short workloads end to end through the same runner the
+# then run three short workloads end to end through the same runner the
 # benchmark uses; a non-zero exit (build error, oracle mismatch) fails.
+# serve_update is the only workload that drives live re-elimination
+# (Factor.reeliminate, including the increase replay).
 perfbench-check:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 	bash perfbench/run.sh --workload build_road --seed 1 --seconds 2 --trace 0
 	bash perfbench/run.sh --workload solve_mesh3d --seed 1 --seconds 2 --trace 0
+	bash perfbench/run.sh --workload serve_update --seed 1 --seconds 3 --trace 0
 
 # Full density × size sweep of the GEMM engine legs (seed | staged AVX2
 # | fused packed full-ISA) plus the scalar-vs-vector variant table and

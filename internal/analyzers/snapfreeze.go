@@ -16,11 +16,12 @@ import (
 // only before publication, on the private clone cowClone returns. The
 // analyzer tracks publication per function with a forward may-analysis
 // (including simple aliases), and flags any post-publication write:
-// mutator method calls (resetBlocks, scatterEdges, injectMin,
-// reeliminate, eliminate), Set/Fill on the factor's diag/up/down
-// blocks, and direct element stores — plus any write reached through a
-// `.Factor` selector off a Patched value, which is a published factor
-// by definition.
+// mutator method calls (resetBlocks, scatterEdges, injectMin, setEdge,
+// reeliminate, factorize, eliminate, and blocks — the factor's store
+// that the shared elimination step writes through), Set/Fill on the
+// factor's diag/up/down blocks, and direct element stores — plus any
+// write reached through a `.Factor` selector off a Patched value, which
+// is a published factor by definition.
 var SnapFreeze = &analysis.Analyzer{
 	Name: "snapfreeze",
 	Doc:  "flags writes to a *Factor after it has been published into a Patched snapshot; published factors are frozen, mutate the COW clone before publishing",
@@ -35,7 +36,8 @@ var snapMutators = map[string]bool{
 	"reeliminate":  true,
 	"eliminate":    true,
 	"factorize":    true,
-	"scatterOuter": true,
+	"setEdge":      true,
+	"blocks":       true,
 }
 
 // snapBlockFields are the Factor fields holding mutable block storage.

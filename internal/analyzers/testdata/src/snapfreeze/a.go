@@ -17,7 +17,9 @@ func (f *Factor) scatterEdges(edges []int) {}
 func (f *Factor) injectMin(e int)          {}
 func (f *Factor) reeliminate(ks []int)     {}
 func (f *Factor) factorize(threads int)    {}
-func (f *Factor) scatterOuter(k int)       {}
+func (f *Factor) setEdge(u, v int)         {}
+func (f *Factor) blocks(k int) *Factor     { return f }
+func (f *Factor) eliminate(k int)          {}
 func (f *Factor) cowClone(dirty []int) *Factor {
 	return &Factor{}
 }
@@ -60,13 +62,16 @@ func aliased(p *Patched, f *Factor) {
 	q.injectMin(1) // want `mutator call injectMin on q after the factor was published`
 }
 
-// Whole-factor elimination and the replay scatter write blocks too.
+// Whole-factor elimination, the block store the elimination step
+// writes through, and single-edge writes touch blocks too.
 func eliminationAfterPublish(p *Patched, f *Factor) {
 	nf := f.cowClone(nil)
 	nf.factorize(1) // clean: still private
 	p.Factor = nf
-	nf.scatterOuter(0) // want `mutator call scatterOuter on nf after the factor was published`
-	nf.factorize(2)    // want `mutator call factorize on nf after the factor was published`
+	nf.blocks(0)     // want `mutator call blocks on nf after the factor was published`
+	nf.eliminate(0)  // want `mutator call eliminate on nf after the factor was published`
+	nf.factorize(2)  // want `mutator call factorize on nf after the factor was published`
+	nf.setEdge(0, 1) // want `mutator call setEdge on nf after the factor was published`
 }
 
 // Composite-literal publication counts too.

@@ -14,12 +14,13 @@ package core
 //
 // where F(i, j) holds the length of the shortest i→j path whose
 // intermediates all precede min(i,j)'s supernode — the semiring analogue
-// of the LU factors (Carré 1971). Factor-only elimination performs the
-// DiagUpdate, PanelUpdate and the A(k)×A(k) part of the OuterUpdate of
-// Algorithm 3, skipping every update that touches descendants; because
-// the ancestor set is a chain, every A×A block lands inside some future
-// panel, so the working set is the factor itself: O(supernodal fill)
-// memory instead of n².
+// of the LU factors (Carré 1971). The factor runs the dense solve's
+// elimination step (step.go) over a block store holding only these
+// blocks (factorBlocks): DiagUpdate, PanelUpdate and the A(k)×A(k) part
+// of the OuterUpdate, with every update that touches descendants left
+// out. Because the ancestor set is a chain, every A×A block lands inside
+// some future panel, so the working set is the factor itself:
+// O(supernodal fill) memory instead of n².
 //
 // Queries use the elimination-tree two-phase sweep (the semiring
 // triangular solves):
@@ -155,54 +156,33 @@ func NewFactorCtx(ctx context.Context, p *Plan, threads int) (*Factor, error) {
 		ancIDs: make([][]int, ns),
 		ancOff: make([][]int, ns),
 	}
-	// Allocate and initialize from the permuted graph.
+	// Allocate, then initialize from the permuted graph: identity
+	// diagonal, ⊕-zero elsewhere, and each edge in the blocks of its
+	// owner (the supernode of its lower endpoint).
+	all := make([]bool, ns)
 	for k := 0; k < ns; k++ {
-		r := sn.Ranges[k]
-		s := r.Size()
+		s := sn.Ranges[k].Size()
 		anc := sn.Ancestors(k)
 		off := make([]int, len(anc)+1)
 		for i, a := range anc {
 			off[i+1] = off[i] + sn.Ranges[a].Size()
 		}
-		f.ancIDs[k] = anc
-		f.ancOff[k] = off
-		total := off[len(anc)]
+		f.ancIDs[k], f.ancOff[k] = anc, off
 		f.diag[k] = semiring.NewMat(s, s)
-		f.diag[k].Fill(K.Zero)
-		for i := 0; i < s; i++ {
-			f.diag[k].Set(i, i, K.One)
-		}
-		f.up[k] = semiring.NewMat(s, total)
-		f.up[k].Fill(K.Zero)
-		f.down[k] = semiring.NewMat(total, s)
-		f.down[k].Fill(K.Zero)
+		f.up[k] = semiring.NewMat(s, off[len(anc)])
+		f.down[k] = semiring.NewMat(off[len(anc)], s)
+		all[k] = true
 	}
-	// Scatter edges: an edge {u, v} with snode(u) == snode(v) goes into
-	// the diagonal; otherwise it goes into the lower supernode's panels
-	// (the higher endpoint is necessarily an ancestor: edges never cross
-	// cousin regions under a tree-consistent ordering).
+	f.resetBlocks(all)
 	pg := p.PG
 	for u := 0; u < pg.N; u++ {
-		ku := p.snodeOf(u)
-		lo := sn.Ranges[ku].Lo
 		adj, wgt := pg.Neighbors(u)
 		for i, v := range adj {
-			if v < u {
-				continue // handle each edge once from its lower endpoint
+			if v > u { // each edge once, from its lower endpoint
+				if err := f.setEdge(u, v, wgt[i], false); err != nil {
+					return nil, err
+				}
 			}
-			kv := p.snodeOf(v)
-			if kv == ku {
-				f.diag[ku].Set(u-lo, v-lo, wgt[i])
-				f.diag[ku].Set(v-lo, u-lo, wgt[i])
-				continue
-			}
-			// kv must be an ancestor of ku.
-			col, ok := f.ancColumn(ku, kv, v)
-			if !ok {
-				return nil, fmt.Errorf("core: edge (%d,%d) crosses cousin supernodes — ordering is not tree-consistent", u, v)
-			}
-			f.up[ku].Set(u-lo, col, wgt[i])
-			f.down[ku].Set(col, u-lo, wgt[i])
 		}
 	}
 
@@ -233,6 +213,36 @@ func (f *Factor) ancColumn(k, a, v int) (int, bool) {
 	return 0, false
 }
 
+// setEdge writes the weight w of edge {u, v} (permuted ids) into the
+// blocks of its owner, the supernode of the lower endpoint: its diagonal
+// when both endpoints share it, otherwise its up/down panels against
+// the higher endpoint's supernode — necessarily an ancestor, since
+// edges never cross cousin regions under a tree-consistent ordering.
+// With combine, w is ⊕-ed into the held values instead of replacing
+// them.
+func (f *Factor) setEdge(u, v int, w float64, combine bool) error {
+	if u > v {
+		u, v = v, u
+	}
+	ku, kv := f.snodeOf(u), f.snodeOf(v)
+	lo := f.sn.Ranges[ku].Lo
+	row, col, i, j := f.diag[ku], f.diag[ku], u-lo, v-lo
+	if ku != kv {
+		c, ok := f.ancColumn(ku, kv, v)
+		if !ok {
+			return fmt.Errorf("core: edge (%d,%d) crosses cousin supernodes — ordering is not tree-consistent", f.perm[u], f.perm[v])
+		}
+		row, col, j = f.up[ku], f.down[ku], c
+	}
+	wr, wc := w, w
+	if combine {
+		wr, wc = f.K.AddScalar(row.At(i, j), w), f.K.AddScalar(col.At(j, i), w)
+	}
+	row.Set(i, j, wr)
+	col.Set(j, i, wc)
+	return nil
+}
+
 // factorize runs the factor-only elimination, always etree-parallel:
 // concurrently running supernodes are cousins, serialized on shared
 // ancestor blocks by supernode-id-keyed locks. It returns ctx.Err() when
@@ -242,39 +252,18 @@ func (f *Factor) factorize(ctx context.Context, threads int) error {
 	return runSupernodes(ctx, f.sn, threads, true, f.eliminate)
 }
 
-// eliminate processes supernode k: close the diagonal, update the
-// panels, and scatter the ancestor×ancestor outer products into the
-// ancestors' own factor blocks. The closed diagonal is packed once and
-// the down-panel update streams over the packed tiles; the up-panel
-// update uses the unpacked MulAdd because there the packed operand
-// would alias the destination (B == C), and the in-place form is the
-// algorithm.
+// eliminate runs the elimination step of supernode k over the factor's
+// own blocks.
 func (f *Factor) eliminate(k, threads int, locks *par.StripedMutex) {
 	fault.Inject("core.factor.eliminate")
-	K := f.K
-	tDiag := time.Now()
-	K.FW(f.diag[k])
-	semiring.AddPhaseTime(semiring.PhaseDiag, time.Since(tDiag))
-	if f.ancOff[k][len(f.ancIDs[k])] == 0 {
-		semiring.CountElimination()
-		return
-	}
-	// Panels (in place; diagonal closed).
-	tPanel := time.Now()
-	K.MulAdd(f.up[k], f.diag[k], f.up[k]) //lint:ignore aliascheck in-place panel update is closed under min-plus: diag is closed with zero diagonal, so C=A is the algorithm
-	Pd := K.PackPanel(f.diag[k])
-	K.MulAddPacked(f.down[k], f.down[k], Pd) //lint:ignore aliascheck symmetric in-place panel update; the packed operand is the closed diagonal, which the update never writes
-	Pd.Release()
-	semiring.AddPhaseTime(semiring.PhasePanel, time.Since(tPanel))
-
-	tOuter := time.Now()
-	f.scatterOuter(k, threads, locks, nil)
-	semiring.AddPhaseTime(semiring.PhaseOuter, time.Since(tOuter))
-	semiring.CountElimination()
+	eliminateStep(f.blocks(k, nil), f.K, threads, locks, nil)
 }
 
-// scatterOuter applies supernode k's ancestor×ancestor outer products
-// onto the ancestors' own factor blocks. Target for (ai, aj):
+// factorBlocks is the factor's block store for supernode k. The closed
+// diagonal is diag[k]; the panels are the whole up[k] and down[k], one
+// kernel call each; outer section i is the slice of up[k]/down[k]
+// against ancestor ancIDs[k][i]. The target of ancestor pair (ai, aj)
+// is the ancestors' own block, locked by (ai, aj):
 //
 //	ai == aj → diag[ai]
 //	ai < aj  → the aj-section of up[ai]  (aj is an ancestor of ai)
@@ -282,71 +271,58 @@ func (f *Factor) eliminate(k, threads int, locks *par.StripedMutex) {
 //
 // Ancestor chains are suffixes of each other, so the section offset
 // inside the target panel follows from list positions directly. A
-// non-nil ownerFilter restricts the scatter to targets owned by marked
-// supernodes — the live-update replay path re-plays a clean supernode's
-// contributions into reset (dirty) blocks only, since its contributions
-// to clean blocks are already incorporated there.
-func (f *Factor) scatterOuter(k, threads int, locks *par.StripedMutex, ownerFilter []bool) {
-	K := f.K
-	sn := f.sn
-	s := sn.Ranges[k].Size()
-	anc := f.ancIDs[k]
-	na := len(anc)
-	// The up-section of ancestor column j is the B operand of every
-	// (i, j) pair, so pack it once and reuse it na times. The targets are
-	// the ancestors' own blocks — never up[k] or down[k] — so the packed
-	// snapshot stays valid for the whole scatter. Columns no (i, j) pair
-	// will touch under ownerFilter are left unpacked.
-	packs := make([]*semiring.PackedPanel, na)
-	for j := 0; j < na; j++ {
-		needed := ownerFilter == nil || ownerFilter[anc[j]]
-		for i := 0; !needed && i < j; i++ {
-			needed = ownerFilter[anc[i]] // (i<j, j) targets live on anc[i]
-		}
-		if needed {
-			packs[j] = K.PackPanel(f.up[k].View(0, f.ancOff[k][j], s, f.ancOff[k][j+1]-f.ancOff[k][j]))
-		}
+// non-nil owners keeps only targets owned by marked supernodes — the
+// live-update replay re-plays a clean supernode's contributions into
+// reset (dirty) blocks only, since its contributions to clean blocks
+// are already incorporated there.
+type factorBlocks struct {
+	f      *Factor
+	k      int
+	owners []bool
+}
+
+// blocks returns supernode k's block store for the elimination step.
+func (f *Factor) blocks(k int, owners []bool) *factorBlocks { return &factorBlocks{f, k, owners} }
+
+func (b *factorBlocks) diag() block   { return block{Mat: b.f.diag[b.k]} }
+func (b *factorBlocks) panels() int   { return 1 }
+func (b *factorBlocks) sections() int { return len(b.f.ancIDs[b.k]) }
+
+func (b *factorBlocks) panel(int) (row, col block) {
+	return block{Mat: b.f.up[b.k]}, block{Mat: b.f.down[b.k]}
+}
+
+func (b *factorBlocks) section(i int) (row, col block) {
+	f, k := b.f, b.k
+	o, s := f.ancOff[k], f.sn.Ranges[k].Size()
+	return block{Mat: f.up[k].View(0, o[i], s, o[i+1]-o[i])}, block{Mat: f.down[k].View(o[i], 0, o[i+1]-o[i], s)}
+}
+
+func (b *factorBlocks) target(i, j int) (block, uint64, bool, bool) {
+	f := b.f
+	anc := f.ancIDs[b.k]
+	ai, aj := anc[i], anc[j]
+	owner := ai // diag and up sections live on ai, down sections on aj
+	if i > j {
+		owner = aj
 	}
-	par.For(na*na, threads, 1, func(idx int) {
-		i, j := idx/na, idx%na
-		ai, aj := anc[i], anc[j]
-		if ownerFilter != nil {
-			owner := ai // diag and up sections live on ai
-			if i > j {
-				owner = aj // down sections live on aj
-			}
-			if !ownerFilter[owner] {
-				return
-			}
-		}
-		src := f.down[k].View(f.ancOff[k][i], 0, f.ancOff[k][i+1]-f.ancOff[k][i], s)
-		var target semiring.Mat
-		switch {
-		case i == j:
-			target = f.diag[ai]
-		case i < j:
-			// aj inside up[ai]: position of aj in ai's ancestor list is
-			// j-i-1 (ai's ancestors are k's ancestors past position i).
-			o := f.ancOff[ai]
-			target = f.up[ai].View(0, o[j-i-1], sn.Ranges[ai].Size(), o[j-i]-o[j-i-1])
-		default:
-			o := f.ancOff[aj]
-			target = f.down[aj].View(o[i-j-1], 0, o[i-j]-o[i-j-1], sn.Ranges[aj].Size())
-		}
-		if locks != nil {
-			key := uint64(ai)*uint64(len(f.diag)) + uint64(aj)
-			locks.Lock(key)
-			K.MulAddPacked(target, src, packs[j])
-			locks.Unlock(key)
-		} else {
-			K.MulAddPacked(target, src, packs[j])
-		}
-	})
-	for _, P := range packs {
-		if P != nil {
-			P.Release()
-		}
+	if b.owners != nil && !b.owners[owner] {
+		return block{}, 0, false, false
 	}
+	var t semiring.Mat
+	switch {
+	case i == j:
+		t = f.diag[ai]
+	case i < j:
+		// ai's ancestors are k's ancestors past position i, so aj sits
+		// at position j-i-1 of ai's list.
+		o := f.ancOff[ai]
+		t = f.up[ai].View(0, o[j-i-1], f.sn.Ranges[ai].Size(), o[j-i]-o[j-i-1])
+	default:
+		o := f.ancOff[aj]
+		t = f.down[aj].View(o[i-j-1], 0, o[i-j]-o[i-j-1], f.sn.Ranges[aj].Size())
+	}
+	return block{Mat: t}, uint64(ai)*uint64(len(f.diag)) + uint64(aj), true, true
 }
 
 // SSSP computes distances from src (original vertex id) to every vertex,

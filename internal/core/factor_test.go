@@ -1,7 +1,9 @@
 package core
 
 import (
+	"context"
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/gen"
@@ -171,4 +173,132 @@ func TestFactorMultiSSSP(t *testing.T) {
 			}
 		}
 	}
+}
+
+// wideFactorGraph orders naturally into an etree with two leaf chains
+// under one root chain: C = [0,40) and A = [40,232) are paths with
+// chords, B = [232,492) is a path with chords, and both leaf chains hang
+// off vertex 232 with a few more edges into B. Under MaxBlock 192 the
+// chain A∪B splits into supernodes [40,232), [232,424), [424,492): A is
+// a diagParallelCutoff-sized supernode whose ancestor span (260) is
+// wider than tileSize, and C is its cousin, scattering into the same
+// ancestor blocks.
+func wideFactorGraph(t *testing.T) (*graph.Graph, Options) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(91))
+	var edges []graph.Edge
+	add := func(u, v int) { edges = append(edges, graph.Edge{U: u, V: v, W: 1 + 9*rng.Float64()}) }
+	chain := func(lo, hi, chords int) {
+		for v := lo; v+1 < hi; v++ {
+			add(v, v+1)
+		}
+		for i := 0; i < chords; i++ {
+			add(lo+rng.Intn(hi-lo), lo+rng.Intn(hi-lo))
+		}
+	}
+	chain(0, 40, 30)
+	chain(40, 232, 300)
+	chain(232, 492, 200)
+	add(39, 232)
+	add(231, 232)
+	for i := 0; i < 20; i++ {
+		add(rng.Intn(40), 232+rng.Intn(260))
+		add(40+rng.Intn(192), 232+rng.Intn(260))
+	}
+	g, err := graph.NewFromEdges(492, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g, Options{Ordering: OrderNatural, MaxBlock: diagParallelCutoff, EtreeParallel: true}
+}
+
+// TestFactorWideSupernode drives the factor through the branches only
+// large supernodes reach — the parallel blocked diagonal and outer
+// sections spanning more than one dense tile — for both semirings at
+// one and four threads, then checks the Outer-only replay of a live
+// increase on the same plan against a fresh factor of the updated graph.
+func TestFactorWideSupernode(t *testing.T) {
+	g, opts := wideFactorGraph(t)
+	sn := mustPlan(t, g, opts).Sn
+	wide := false
+	for k, r := range sn.Ranges {
+		span := 0
+		for _, a := range sn.Ancestors(k) {
+			span += sn.Ranges[a].Size()
+		}
+		wide = wide || (r.Size() >= diagParallelCutoff && span > tileSize)
+	}
+	if !wide {
+		t.Fatal("fixture has no supernode of diagParallelCutoff vertices with an ancestor span over tileSize")
+	}
+	for _, K := range []*semiring.Kernels{semiring.MinPlusKernels, semiring.MaxMinKernels} {
+		want := Closure(g.ToDense())
+		if K == semiring.MaxMinKernels {
+			want = widestClosure(g)
+		}
+		o := opts
+		o.Semiring = K
+		plan := mustPlan(t, g, o)
+		for _, threads := range []int{1, 4} {
+			f, err := NewFactor(plan, threads)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for u := 0; u < g.N; u += 7 {
+				row := f.SSSP(u)
+				for v := range row {
+					if w := want.At(u, v); math.Abs(row[v]-w) > 1e-9 && row[v] != w {
+						t.Fatalf("%s threads=%d: dist(%d,%d) = %g, want %g", K.Name, threads, u, v, row[v], w)
+					}
+				}
+			}
+		}
+	}
+
+	// Increase edges inside B: only B's supernodes are dirty, so the
+	// patch resets them and replays the cousins' outer products into them.
+	f, err := NewFactor(mustPlan(t, g, opts), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	u, err := NewFactorUpdater(g, f, UpdaterOptions{DirtyThreshold: 1, Threads: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := NewUpdateBatch()
+	for _, e := range g.Edges() {
+		if e.U >= 300 && e.V >= 300 && (e.U+e.V)%5 == 0 {
+			if err := b.Set(e.U, e.V, 3*e.W); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	p, err := u.Apply(context.Background(), b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Stats.Increases == 0 || p.Stats.FullRebuild || p.Stats.DirtySupernodes == p.Stats.TotalSupernodes {
+		t.Fatalf("expected a partial increase patch, got %+v", p.Stats)
+	}
+	fresh, err := NewFactor(mustPlan(t, applyGraph(g, b), opts), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for src := 0; src < g.N; src += 5 {
+		got, want := p.Factor.SSSP(src), fresh.SSSP(src)
+		for v := range got {
+			if got[v] != want[v] {
+				t.Fatalf("patched dist(%d,%d) = %g, fresh factor %g", src, v, got[v], want[v])
+			}
+		}
+	}
+}
+
+func mustPlan(t *testing.T, g *graph.Graph, opts Options) *Plan {
+	t.Helper()
+	p, err := NewPlan(g, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
 }

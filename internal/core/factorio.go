@@ -20,14 +20,14 @@ package core
 //	-- checksummed body ends here --
 //	u64 CRC64/ECMA of the body
 //
-// v3 extends v2 with checkpoint metadata inside the checksummed body:
-// the live-update generation the factor had when snapshotted, a digest
-// of the base graph it was factored from (so a worker never warm-boots
-// a checkpoint for a different graph), and the edge-weight overlay —
-// the edges whose current weight differs from the base graph — which
-// reseeds a FactorUpdater so replayed journal batches classify
-// decreases/increases against the right weights. v2 files (no meta
-// block) still load, at generation 0 with an empty overlay.
+// The meta block holds the live-update generation the factor had when
+// snapshotted, a digest of the base graph it was factored from (so a
+// worker never warm-boots a checkpoint for a different graph), and the
+// edge-weight overlay — the edges whose current weight differs from the
+// base graph — which reseeds a FactorUpdater so replayed journal
+// batches classify decreases/increases against the right weights. Only
+// v3 is read: a legacy v2 file (no meta block) is rejected with an
+// error asking for a re-save.
 //
 // Matrix dimensions are reconstructed from the supernode structure, so
 // only raw payloads are stored. The trailing checksum covers every body
@@ -54,10 +54,7 @@ import (
 )
 
 const factorMagic = "SFWF"
-const (
-	factorVersionV2 = 2
-	factorVersion   = 3
-)
+const factorVersion = 3
 
 // maxOverlayEdges caps the v3 overlay so a crafted count field cannot
 // drive a huge allocation before the checksum is verified.
@@ -67,8 +64,8 @@ const maxOverlayEdges = 1 << 26
 // in a factor checkpoint.
 type CheckpointMeta struct {
 	// Generation is the live-update generation of the snapshotted
-	// factor; boot generation is 1, so 0 means "legacy v2 checkpoint,
-	// generation unknown".
+	// factor; boot generation is 1, so 0 means "written outside durable
+	// serving, generation unknown".
 	Generation uint64
 	// GraphDigest identifies the base graph (GraphDigest of the catalog
 	// graph the factor was built from). Validate rejects a checkpoint
@@ -88,7 +85,7 @@ func (m CheckpointMeta) Validate(wantDigest uint64) error {
 		return fmt.Errorf("core: checkpoint is for a different graph (digest %016x, want %016x)", m.GraphDigest, wantDigest)
 	}
 	if m.Generation == 0 {
-		return fmt.Errorf("core: checkpoint has no factor generation (legacy v2 file?)")
+		return fmt.Errorf("core: checkpoint has no factor generation")
 	}
 	return nil
 }
@@ -223,9 +220,8 @@ func ReadFactor(r io.Reader) (*Factor, error) {
 }
 
 // ReadFactorMeta deserializes a factor plus its recovery metadata.
-// Both the current v3 format and legacy v2 files are accepted; a v2
-// file yields a zero CheckpointMeta (generation 0, no overlay), which
-// callers treat as "pre-durability checkpoint".
+// Only the v3 format is accepted; any other version, including the
+// legacy v2 format, is rejected with an error naming it.
 func ReadFactorMeta(r io.Reader) (*Factor, CheckpointMeta, error) {
 	var meta CheckpointMeta
 	br := bufio.NewReaderSize(r, 1<<20)
@@ -240,8 +236,8 @@ func ReadFactorMeta(r io.Reader) (*Factor, CheckpointMeta, error) {
 	if err != nil {
 		return nil, meta, err
 	}
-	if ver != factorVersion && ver != factorVersionV2 {
-		return nil, meta, fmt.Errorf("core: unsupported factor version %d (this build reads v%d and v%d)", ver, factorVersionV2, factorVersion)
+	if ver != factorVersion {
+		return nil, meta, fmt.Errorf("core: unsupported factor checkpoint version v%d: this build reads only v%d; load the file with a build that reads v%d and re-save it", ver, factorVersion, ver)
 	}
 	// Mirror the writer: every body byte flows through the CRC so the
 	// trailer can be verified once parsing succeeds.
@@ -255,31 +251,29 @@ func ReadFactorMeta(r io.Reader) (*Factor, CheckpointMeta, error) {
 	if err != nil {
 		return nil, meta, err
 	}
-	if ver >= factorVersion {
-		gen, err1 := readU64(hr)
-		dig, err2 := readU64(hr)
-		cnt, err3 := readU64(hr)
-		if err1 != nil || err2 != nil || err3 != nil {
-			return nil, meta, fmt.Errorf("core: truncated checkpoint meta block")
-		}
-		if cnt > maxOverlayEdges {
-			return nil, meta, fmt.Errorf("core: corrupt checkpoint meta (overlay count %d)", cnt)
-		}
-		meta.Generation, meta.GraphDigest = gen, dig
-		if cnt > 0 {
-			meta.Overlay = make([]EdgeDelta, cnt)
-			for i := range meta.Overlay {
-				u, err1 := readU64(hr)
-				v, err2 := readU64(hr)
-				wb, err3 := readU64(hr)
-				if err1 != nil || err2 != nil || err3 != nil {
-					return nil, meta, fmt.Errorf("core: truncated checkpoint overlay")
-				}
-				if u > 1<<24 || v > 1<<24 {
-					return nil, meta, fmt.Errorf("core: corrupt checkpoint overlay edge (%d,%d)", u, v)
-				}
-				meta.Overlay[i] = EdgeDelta{U: int(u), V: int(v), W: math.Float64frombits(wb)}
+	gen, err1 := readU64(hr)
+	dig, err2 := readU64(hr)
+	cnt, err3 := readU64(hr)
+	if err1 != nil || err2 != nil || err3 != nil {
+		return nil, meta, fmt.Errorf("core: truncated checkpoint meta block")
+	}
+	if cnt > maxOverlayEdges {
+		return nil, meta, fmt.Errorf("core: corrupt checkpoint meta (overlay count %d)", cnt)
+	}
+	meta.Generation, meta.GraphDigest = gen, dig
+	if cnt > 0 {
+		meta.Overlay = make([]EdgeDelta, cnt)
+		for i := range meta.Overlay {
+			u, err1 := readU64(hr)
+			v, err2 := readU64(hr)
+			wb, err3 := readU64(hr)
+			if err1 != nil || err2 != nil || err3 != nil {
+				return nil, meta, fmt.Errorf("core: truncated checkpoint overlay")
 			}
+			if u > 1<<24 || v > 1<<24 {
+				return nil, meta, fmt.Errorf("core: corrupt checkpoint overlay edge (%d,%d)", u, v)
+			}
+			meta.Overlay[i] = EdgeDelta{U: int(u), V: int(v), W: math.Float64frombits(wb)}
 		}
 	}
 	n64, err := readU64(hr)
@@ -422,7 +416,7 @@ func LoadFactorFile(path string) (*Factor, error) {
 
 // LoadFactorFileMeta restores a factor and its recovery metadata,
 // verifying the checksum and running Validate before handing either
-// back. Legacy v2 files load with a zero meta block.
+// back.
 func LoadFactorFileMeta(path string) (*Factor, CheckpointMeta, error) {
 	fh, err := os.Open(path)
 	if err != nil {

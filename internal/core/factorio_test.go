@@ -126,10 +126,10 @@ func TestCheckpointMetaRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCheckpointV2BackCompat hand-builds a v2 stream (no meta block)
-// and asserts it still loads — at generation 0 with an empty overlay,
-// which boot paths treat as "legacy checkpoint, cold state".
-func TestCheckpointV2BackCompat(t *testing.T) {
+// TestCheckpointV2Rejected hand-builds a byte-faithful, correctly
+// checksummed v2 stream (no meta block) and asserts the reader refuses
+// it with an error that names the version and asks for a re-save.
+func TestCheckpointV2Rejected(t *testing.T) {
 	g := gen.Grid2D(6, 6, gen.WeightUniform, 96)
 	plan, err := NewPlan(g, DefaultOptions())
 	if err != nil {
@@ -158,18 +158,12 @@ func TestCheckpointV2BackCompat(t *testing.T) {
 	binary.LittleEndian.PutUint64(trailer[:], crc)
 	v2 = append(v2, trailer[:]...)
 
-	f2, meta, err := ReadFactorMeta(bytes.NewReader(v2))
-	if err != nil {
-		t.Fatalf("v2 file rejected: %v", err)
+	_, _, err = ReadFactorMeta(bytes.NewReader(v2))
+	if err == nil {
+		t.Fatal("v2 checkpoint loaded; only v3 is readable")
 	}
-	if meta.Generation != 0 || meta.GraphDigest != 0 || meta.Overlay != nil {
-		t.Fatalf("v2 load produced non-zero meta: %+v", meta)
-	}
-	if meta.Validate(GraphDigest(g)) == nil {
-		t.Fatal("zero meta validated as durable — legacy files must be detectable")
-	}
-	if f2.Dist(0, 7) != f.Dist(0, 7) {
-		t.Fatal("v2-loaded factor differs")
+	if msg := err.Error(); !strings.Contains(msg, "v2") || !strings.Contains(msg, "re-save") {
+		t.Fatalf("v2 rejection %q does not name the version and the re-save fix", msg)
 	}
 }
 

@@ -488,7 +488,7 @@ func (f *Factor) reeliminate(ctx context.Context, dirty []bool, replay bool, thr
 		case dirty[k]:
 			f.eliminate(k, inner, locks)
 		case replay && touches(k):
-			f.scatterOuter(k, inner, locks, dirty)
+			outerStep(f.blocks(k, dirty), f.K, inner, locks, nil)
 		}
 	})
 }
@@ -563,25 +563,12 @@ func (f *Factor) resetBlocks(dirty []bool) {
 func (f *Factor) scatterEdges(edges map[edgeKey]float64, dirty []bool) error {
 	for key, w := range edges {
 		pu, pv := f.iperm[key.u], f.iperm[key.v]
-		if pu > pv {
-			pu, pv = pv, pu
-		}
-		ku, kv := f.snodeOf(pu), f.snodeOf(pv)
-		if !dirty[ku] {
+		if !dirty[f.snodeOf(min(pu, pv))] {
 			continue
 		}
-		lo := f.sn.Ranges[ku].Lo
-		if ku == kv {
-			f.diag[ku].Set(pu-lo, pv-lo, w)
-			f.diag[ku].Set(pv-lo, pu-lo, w)
-			continue
+		if err := f.setEdge(pu, pv, w, false); err != nil {
+			return err
 		}
-		col, ok := f.ancColumn(ku, kv, pv)
-		if !ok {
-			return fmt.Errorf("core: edge (%d,%d) crosses cousin supernodes — ordering is not tree-consistent", key.u, key.v)
-		}
-		f.up[ku].Set(pu-lo, col, w)
-		f.down[ku].Set(col, pu-lo, w)
 	}
 	return nil
 }
@@ -589,25 +576,7 @@ func (f *Factor) scatterEdges(edges map[edgeKey]float64, dirty []bool) error {
 // injectMin ⊕-injects an improved edge weight into its owning block —
 // the decrease path's only pre-re-elimination mutation.
 func (f *Factor) injectMin(d EdgeDelta) error {
-	K := f.K
-	pu, pv := f.iperm[d.U], f.iperm[d.V]
-	if pu > pv {
-		pu, pv = pv, pu
-	}
-	ku, kv := f.snodeOf(pu), f.snodeOf(pv)
-	lo := f.sn.Ranges[ku].Lo
-	if ku == kv {
-		f.diag[ku].Set(pu-lo, pv-lo, K.AddScalar(f.diag[ku].At(pu-lo, pv-lo), d.W))
-		f.diag[ku].Set(pv-lo, pu-lo, K.AddScalar(f.diag[ku].At(pv-lo, pu-lo), d.W))
-		return nil
-	}
-	col, ok := f.ancColumn(ku, kv, pv)
-	if !ok {
-		return fmt.Errorf("core: edge (%d,%d) crosses cousin supernodes — ordering is not tree-consistent", d.U, d.V)
-	}
-	f.up[ku].Set(pu-lo, col, K.AddScalar(f.up[ku].At(pu-lo, col), d.W))
-	f.down[ku].Set(col, pu-lo, K.AddScalar(f.down[ku].At(col, pu-lo), d.W))
-	return nil
+	return f.setEdge(f.iperm[d.U], f.iperm[d.V], d.W, true)
 }
 
 // edgeMapOf snapshots a graph's undirected edge weights keyed by

@@ -10,17 +10,15 @@
 // Eliminating supernode k touches only the index set
 // R(k) = D(k) ∪ {k} ∪ A(k): its etree descendants (a contiguous index
 // range, because orderings are postorders) and its etree ancestors (the
-// root path). The three update steps are
-//
-//	DiagUpdate:  A(k,k) ← FW(A(k,k))
-//	PanelUpdate: A(r,k) ← A(r,k) ⊕ A(r,k)⊗A(k,k),  A(k,r) ← A(k,r) ⊕ A(k,k)⊗A(k,r)
-//	OuterUpdate: A(ri,rj) ← A(ri,rj) ⊕ A(ri,k)⊗A(k,rj)   for ri,rj ∈ R(k)
-//
-// all running on dense blocks of one dense Dist matrix held in permuted
-// order. (The paper's output is the dense distance matrix; its supernodal
-// block-sparse structure organizes the same updates. Because the ancestor
-// set A(k) is a chain, every block SuperFw touches lies in the symbolic
-// fill pattern, so dense backing adds no asymptotic work.)
+// root path). The elimination step — DiagUpdate, PanelUpdate and
+// OuterUpdate on the blocks of R(k) — is written once (step.go) over a
+// block store, and every numeric phase runs it through one schedule,
+// runSupernodes (solve.go). The dense solve's store holds the blocks as
+// views of one dense distance matrix in permuted order: the paper's
+// output is that matrix, and because A(k) is a chain every block SuperFw
+// touches lies in the symbolic fill pattern, so dense backing adds no
+// asymptotic work. The factor's store (factor.go) holds only the
+// O(fill) blocks of k against its ancestors.
 package core
 
 import (
@@ -283,16 +281,9 @@ func (p *Plan) PlannedOps() int64 {
 
 // reachSize returns |R(k)\{k}| under the plan's reach mode.
 func (p *Plan) reachSize(k int) int64 {
-	r := p.Sn.Ranges[k]
-	reach := int64(r.Lo - p.Sn.SubLo[k])
-	if p.upStruct != nil {
-		for _, a := range p.upStruct[k] {
-			reach += int64(p.Sn.Ranges[a].Size())
-		}
-		return reach
-	}
-	for _, a := range p.Sn.Ancestors(k) {
-		reach += int64(p.Sn.Ranges[a].Size())
+	var reach int64
+	for _, t := range p.reachTiles(k) {
+		reach += int64(t.hi - t.lo)
 	}
 	return reach
 }

@@ -26,9 +26,10 @@ import (
 	"repro/internal/semiring"
 )
 
-// Profile accumulates stage timings during a profiled solve. Stage times
-// are summed across workers, so with T threads busy they can add up to
-// T× the wall time.
+// Profile accumulates stage timings during a profiled solve. A stage
+// time is the sum over supernodes of that phase's wall time inside the
+// elimination step, so with T cousins running at once the stages can
+// add up to T× the wall time.
 type Profile struct {
 	Diag  atomic.Int64 // ns in diagonal FW closures
 	Panel atomic.Int64 // ns in panel updates

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/fault"
@@ -11,17 +10,6 @@ import (
 	"repro/internal/semiring"
 	"repro/internal/symbolic"
 )
-
-// tileSize is the row/column granularity at which panel and outer-product
-// updates are split into parallel tasks. Tiles are cut deterministically
-// from each supernode's own range, so two cousin eliminations sharing an
-// ancestor supernode derive exactly the same ancestor tiles — which is
-// what makes tile-keyed locking of A(k)×A(k) updates sound.
-const tileSize = 256
-
-// diagParallelCutoff is the diagonal-block size above which DiagUpdate
-// switches from the scalar FW kernel to the parallel blocked kernel.
-const diagParallelCutoff = 192
 
 // Solve runs the numeric phase using the plan's default options and the
 // graph's own edge weights. When Options.Context is set it is honored as
@@ -71,60 +59,16 @@ func (p *Plan) SolveInitMatrixCtx(ctx context.Context, init semiring.Mat, thread
 	return p.finish(ctx, D, threads, etreeParallel, nil)
 }
 
-// state bundles the matrices a numeric solve operates on and the
-// semiring kernels it runs.
-type state struct {
-	D     semiring.Mat
-	next  semiring.IntMat
-	track bool
-	K     *semiring.Kernels
-	prof  *Profile // nil unless SolveProfiled
-}
-
-// addStage accumulates elapsed time into a stage counter when profiling.
-func (s *state) addStage(counter *atomic.Int64, t0 time.Time) {
-	if s.prof != nil {
-		counter.Add(int64(time.Since(t0)))
-	}
-}
-
-// iview returns the next-hop sub-block mirroring a distance view, or a
-// zero IntMat when path tracking is off.
-func (s *state) iview(i0, j0, r, c int) semiring.IntMat {
-	if !s.track {
-		return semiring.IntMat{}
-	}
-	return s.next.View(i0, j0, r, c)
-}
-
-// mul dispatches a min-plus multiply-add with or without next-hop
-// maintenance.
-func (s *state) mul(C, A, B semiring.Mat, nc, na semiring.IntMat) {
-	if s.track {
-		s.K.MulAddPaths(C, A, B, nc, na)
-	} else {
-		s.K.MulAdd(C, A, B)
-	}
-}
-
-// mulPacked is mul against a pre-packed B panel.
-func (s *state) mulPacked(C, A semiring.Mat, P *semiring.PackedPanel, nc, na semiring.IntMat) {
-	if s.track {
-		s.K.MulAddPathsPacked(C, A, P, nc, na)
-	} else {
-		s.K.MulAddPacked(C, A, P)
-	}
-}
-
 // finish runs the numeric phase on the permuted matrix D. A non-nil
 // prof records a span per supernode and is finalized on success. It
 // returns ctx.Err() when the context is cancelled mid-elimination; the
 // partially relaxed matrix is then discarded.
 func (p *Plan) finish(ctx context.Context, D semiring.Mat, threads int, etreeParallel bool, prof *Profile) (*Result, error) {
-	st := &state{D: D, track: p.Opts.TrackPaths, K: p.Opts.Semiring, prof: prof}
-	if st.track {
-		st.next = semiring.NewIntMat(D.Rows, D.Cols)
-		semiring.InitNextHops(D, st.next)
+	K := p.Opts.Semiring
+	var next semiring.IntMat
+	if p.Opts.TrackPaths {
+		next = semiring.NewIntMat(D.Rows, D.Cols)
+		semiring.InitNextHops(D, next)
 	}
 	var levelOf []int
 	if prof != nil {
@@ -134,7 +78,8 @@ func (p *Plan) finish(ctx context.Context, D semiring.Mat, threads int, etreePar
 	t0 := time.Now()
 	err := runSupernodes(ctx, p.Sn, threads, etreeParallel, func(k, inner int, locks *par.StripedMutex) {
 		start := time.Since(t0)
-		p.eliminateSupernode(st, k, inner, locks)
+		fault.Inject("core.eliminate")
+		eliminateStep(&denseBlocks{D: D, next: next, r: p.Sn.Ranges[k], tiles: p.reachTiles(k)}, K, inner, locks, prof)
 		if prof != nil {
 			prof.record(SupernodeProfile{
 				Supernode: k,
@@ -149,13 +94,13 @@ func (p *Plan) finish(ctx context.Context, D semiring.Mat, threads int, etreePar
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{D: D, Next: st.next, Perm: p.Perm, IPerm: p.IPerm,
+	res := &Result{D: D, Next: next, Perm: p.Perm, IPerm: p.IPerm,
 		NumericTime: time.Since(t0), Kernel: semiring.ReadKernelCounters().Sub(k0)}
 	if prof != nil {
 		prof.Kernel = res.Kernel
 		prof.finish(len(p.Sn.Levels), etreeParallel && par.DefaultThreads(threads) > 1)
 	}
-	if st.K.DetectNegCycle && res.HasNegativeCycle() {
+	if K.DetectNegCycle && res.HasNegativeCycle() {
 		return res, fmt.Errorf("core: graph contains a negative-weight cycle")
 	}
 	return res, nil
@@ -233,114 +178,41 @@ func (p *Plan) reachTiles(k int) []tile {
 	return tiles
 }
 
-// eliminateSupernode performs the DiagUpdate, PanelUpdate and OuterUpdate
-// of supernode k. locks is non-nil only when cousin eliminations run
-// concurrently; it serializes writes to shared ancestor×ancestor blocks.
-//
-// Panel updates run in place (A(r,k) ← A(r,k) ⊕ A(r,k)⊗A(k,k) writes the
-// same block it reads). This is sound because the closed diagonal block
-// has a zero diagonal and min-plus relaxation is monotone: every write is
-// the length of a real path (never below the true shortest distance), and
-// every canonical relaxation of the textbook schedule is still applied
-// with operand values ≤ the textbook's, so the result is exactly the
-// textbook result. The same argument covers the blocked FW kernels.
-func (p *Plan) eliminateSupernode(st *state, k, threads int, locks *par.StripedMutex) {
-	fault.Inject("core.eliminate")
-	sn := p.Sn
-	r := sn.Ranges[k]
-	s := r.Size()
-	D := st.D
-	Akk := D.View(r.Lo, r.Lo, s, s)
+// denseBlocks is the dense solve's block store for one supernode: views
+// of the permuted n×n matrix D (and of next when tracking paths), with
+// the reach R(k)\{k} cut into tiles that serve as both the panel pieces
+// and the outer sections. Outer targets are locked by their tile
+// position, and only ancestor×ancestor tiles are shared with cousins.
+type denseBlocks struct {
+	D     semiring.Mat
+	next  semiring.IntMat
+	r     symbolic.Range
+	tiles []tile
+}
 
-	// DiagUpdate.
-	tDiag := time.Now()
-	switch {
-	case s >= diagParallelCutoff:
-		semiring.ParallelBlockedFWKernels(Akk, st.iview(r.Lo, r.Lo, s, s), st.track, 64, threads, st.K)
-	case st.track:
-		st.K.FWPaths(Akk, st.next.View(r.Lo, r.Lo, s, s))
-	default:
-		st.K.FW(Akk)
+func (b *denseBlocks) view(i, j, rows, cols int) block {
+	v := block{Mat: b.D.View(i, j, rows, cols)}
+	if b.next.Data != nil {
+		v.next = b.next.View(i, j, rows, cols)
 	}
-	semiring.AddPhaseTime(semiring.PhaseDiag, time.Since(tDiag))
-	if st.prof != nil {
-		st.addStage(&st.prof.Diag, tDiag)
-	}
+	return v
+}
 
-	tiles := p.reachTiles(k)
-	if len(tiles) == 0 {
-		semiring.CountElimination()
-		return
-	}
+func (b *denseBlocks) diag() block { return b.view(b.r.Lo, b.r.Lo, b.r.Size(), b.r.Size()) }
 
-	// The closed diagonal block is the B operand of every column-panel
-	// update, so pack it once and reuse it across all tiles. Reach tiles
-	// never overlap k's own range, so no panel write touches the packed
-	// snapshot.
-	Pd := st.K.PackPanel(Akk)
+func (b *denseBlocks) panels() int                  { return len(b.tiles) }
+func (b *denseBlocks) panel(t int) (row, col block) { return b.section(t) }
+func (b *denseBlocks) sections() int                { return len(b.tiles) }
 
-	// PanelUpdate: for every reach tile t, the row panel A(k,t) from the
-	// left and the column panel A(t,k) from the right. Next-hop sources:
-	// a row-panel improvement goes via kk inside the diagonal block, so
-	// the first hop comes from next(k-range, k-range); a column-panel
-	// improvement's first hop comes from next(t, k-range) — the operand
-	// that plays the A role in C = C ⊕ A⊗B, in both cases. Row panels
-	// use the unpacked MulAdd (their B operand is the destination
-	// itself); column panels consume the packed diagonal.
-	par.For(2*len(tiles), threads, 1, func(i int) {
-		tPanel := time.Now()
-		t := tiles[i/2]
-		if i%2 == 0 {
-			P := D.View(r.Lo, t.lo, s, t.hi-t.lo)
-			st.mul(P, Akk, P, st.iview(r.Lo, t.lo, s, t.hi-t.lo), st.iview(r.Lo, r.Lo, s, s))
-		} else {
-			P := D.View(t.lo, r.Lo, t.hi-t.lo, s)
-			nc := st.iview(t.lo, r.Lo, t.hi-t.lo, s)
-			st.mulPacked(P, P, Pd, nc, nc)
-		}
-		semiring.AddPhaseTime(semiring.PhasePanel, time.Since(tPanel))
-		if st.prof != nil {
-			st.addStage(&st.prof.Panel, tPanel)
-		}
-	})
-	Pd.Release()
+func (b *denseBlocks) section(i int) (row, col block) {
+	t, s := b.tiles[i], b.r.Size()
+	return b.view(b.r.Lo, t.lo, s, t.hi-t.lo), b.view(t.lo, b.r.Lo, t.hi-t.lo, s)
+}
 
-	// OuterUpdate: A(ti,tj) ← A(ti,tj) ⊕ A(ti,k) ⊗ A(k,tj) over the full
-	// reach×reach grid. Only ancestor×ancestor targets can be written by
-	// concurrent cousin eliminations. The row panel A(k,tj) is the B
-	// operand of the whole tj column of the grid, so pack each once (in
-	// parallel) and reuse it nt times; outer writes land on reach×reach
-	// blocks, never on k's rows, so the snapshots stay valid.
-	nt := len(tiles)
-	rowPacks := make([]*semiring.PackedPanel, nt)
-	par.For(nt, threads, 1, func(j int) {
-		tj := tiles[j]
-		rowPacks[j] = st.K.PackPanel(D.View(r.Lo, tj.lo, s, tj.hi-tj.lo))
-	})
-	par.For(nt*nt, threads, 0, func(idx int) {
-		tOuter := time.Now()
-		ti, tj := tiles[idx/nt], tiles[idx%nt]
-		target := D.View(ti.lo, tj.lo, ti.hi-ti.lo, tj.hi-tj.lo)
-		colPanel := D.View(ti.lo, r.Lo, ti.hi-ti.lo, s)
-		nc := st.iview(ti.lo, tj.lo, ti.hi-ti.lo, tj.hi-tj.lo)
-		na := st.iview(ti.lo, r.Lo, ti.hi-ti.lo, s)
-		if locks != nil && ti.ancestor && tj.ancestor {
-			key := uint64(ti.lo)*uint64(D.Rows) + uint64(tj.lo)
-			locks.Lock(key)
-			st.mulPacked(target, colPanel, rowPacks[idx%nt], nc, na)
-			locks.Unlock(key)
-		} else {
-			st.mulPacked(target, colPanel, rowPacks[idx%nt], nc, na)
-		}
-		semiring.AddPhaseTime(semiring.PhaseOuter, time.Since(tOuter))
-		if st.prof != nil {
-			st.addStage(&st.prof.Outer, tOuter)
-		}
-	})
-	for _, P := range rowPacks {
-		P.Release()
-	}
-	semiring.CountElimination()
+func (b *denseBlocks) target(i, j int) (block, uint64, bool, bool) {
+	ti, tj := b.tiles[i], b.tiles[j]
+	key := uint64(ti.lo)*uint64(b.D.Rows) + uint64(tj.lo)
+	return b.view(ti.lo, tj.lo, ti.hi-ti.lo, tj.hi-tj.lo), key, ti.ancestor && tj.ancestor, true
 }
 
 // Closure is the reference dense solution: it runs the scalar

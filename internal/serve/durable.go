@@ -27,10 +27,12 @@ import (
 	"log"
 	"os"
 	"path/filepath"
+	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/fault"
 	"repro/internal/graph"
 	"repro/internal/wal"
 )
@@ -83,7 +85,9 @@ func (o DurableOptions) withDefaults() DurableOptions {
 // replays through. Mutating methods (AppendCommitted, Checkpoint,
 // Rebuild, ResyncFactor) must be serialized by the caller — the Server
 // runs them under its reloading CAS, which already serializes every
-// generation mutation.
+// generation mutation. Checkpoint writes are additionally serialized on
+// their own mutex, because the background checkpointer writes outside
+// the CAS.
 type Durable struct {
 	opts    DurableOptions
 	journal *wal.Journal
@@ -102,6 +106,18 @@ type Durable struct {
 	checkpointErrs atomic.Uint64
 	lastCkptGen    atomic.Uint64
 	lastCkptNS     atomic.Int64 // wall clock of the last checkpoint
+
+	ckptMu      sync.Mutex    // serializes checkpoint writes
+	ckptSeq     atomic.Uint64 // capture order of checkpoint snapshots
+	ckptStarted uint64        // newest capture whose write began; guarded by ckptMu
+}
+
+// checkpointSnap is the serving state captured for one checkpoint: a
+// published (hence frozen) factor plus the meta block describing it.
+type checkpointSnap struct {
+	seq  uint64
+	f    *core.Factor
+	meta core.CheckpointMeta
 }
 
 // OpenDurable opens (or initializes) the state directory for graph g
@@ -325,12 +341,38 @@ func (d *Durable) AppendMarker(gen uint64) error {
 // serialization (the Server's reloading CAS): the factor, overlay, and
 // generation must describe one consistent snapshot.
 func (d *Durable) Checkpoint(gen uint64) error {
-	meta := core.CheckpointMeta{
-		Generation:  gen,
-		GraphDigest: d.digest,
-		Overlay:     d.updater.OverlayAgainst(d.base),
+	return d.writeCheckpoint(d.captureCheckpoint(gen))
+}
+
+// captureCheckpoint takes the snapshot Checkpoint writes. It is cheap
+// (no I/O), and the caller must hold the swap serialization while it
+// runs; the write that follows does not need it, because a published
+// factor is never mutated again.
+func (d *Durable) captureCheckpoint(gen uint64) checkpointSnap {
+	return checkpointSnap{
+		seq: d.ckptSeq.Add(1),
+		f:   d.updater.Factor(),
+		meta: core.CheckpointMeta{
+			Generation:  gen,
+			GraphDigest: d.digest,
+			Overlay:     d.updater.OverlayAgainst(d.base),
+		},
 	}
-	if err := core.SaveFactorFileMeta(d.ckpt, d.updater.Factor(), meta); err != nil {
+}
+
+// writeCheckpoint saves a captured snapshot and truncates the journal
+// through its generation. Writes are serialized on ckptMu, and a
+// snapshot captured before one whose write already began is dropped, so
+// an older capture never overwrites a newer checkpoint.
+func (d *Durable) writeCheckpoint(c checkpointSnap) error {
+	d.ckptMu.Lock()
+	defer d.ckptMu.Unlock()
+	if c.seq < d.ckptStarted {
+		return nil
+	}
+	d.ckptStarted = c.seq
+	gen := c.meta.Generation
+	if err := core.SaveFactorFileMeta(d.ckpt, c.f, c.meta); err != nil {
 		d.checkpointErrs.Add(1)
 		return err
 	}
@@ -417,8 +459,12 @@ func (d *Durable) Close() error { return d.journal.Close() }
 // RunCheckpointer drives the background checkpoint loop until ctx is
 // cancelled: once the journal passes the byte or record threshold, it
 // takes the swap serialization (skipping the tick when a reload or
-// update holds it — the next tick retries), snapshots the factor at
-// the current generation, and truncates the journal. A no-op on a
+// update holds it — the next tick retries) only long enough to capture
+// the factor, overlay and generation, then writes the checkpoint and
+// truncates the journal outside it, so updates keep preparing and
+// committing during the write and fsync. The capture also holds
+// captureMu, which update steps wait on before their CAS attempt, so a
+// capture delays an update step but never refuses it. A no-op on a
 // server without durable state.
 func (s *Server) RunCheckpointer(ctx context.Context) {
 	d := s.durable
@@ -437,13 +483,17 @@ func (s *Server) RunCheckpointer(ctx context.Context) {
 		if st.Bytes < d.opts.CheckpointBytes && st.Records < d.opts.CheckpointRecords {
 			continue
 		}
+		s.captureMu.Lock()
 		if !s.reloading.CompareAndSwap(false, true) {
+			s.captureMu.Unlock()
 			continue
 		}
 		gen := s.generation.Load()
-		err := d.Checkpoint(gen)
+		fault.Inject("serve.checkpoint.capture")
+		snap := d.captureCheckpoint(gen)
 		s.reloading.Store(false)
-		if err != nil {
+		s.captureMu.Unlock()
+		if err := d.writeCheckpoint(snap); err != nil {
 			s.log.Printf("serve: background checkpoint at generation %d failed (journal retained): %v", gen, err)
 		} else {
 			s.log.Printf("serve: checkpointed at generation %d (%d journal record(s) compacted)", gen, st.Records)

@@ -13,6 +13,7 @@ import (
 	"io"
 	"log"
 	"net/http/httptest"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -381,5 +382,139 @@ func TestDurableCheckpointerCompactsJournal(t *testing.T) {
 	m := s.Metrics()
 	if m.Durability == nil || m.Durability.Checkpoints == 0 {
 		t.Fatalf("metrics missing durability counters: %+v", m.Durability)
+	}
+}
+
+// TestDurableCheckpointDoesNotBlockCommit: a background checkpoint
+// stalled in its fsync must not hold the swap serialization, so a 2PC
+// prepare→commit issued during the stall succeeds instead of being
+// refused with 409 (a refused commit takes a worker out of the
+// coordinator's rotation). The stalled snapshot must not overwrite the
+// later one either: the checkpoint ends at the committed generation.
+func TestDurableCheckpointDoesNotBlockCommit(t *testing.T) {
+	dir := t.TempDir()
+	g := durableGraph()
+	d := openDurableT(t, dir, g, DurableOptions{
+		CheckpointRecords:  1,
+		CheckpointInterval: 5 * time.Millisecond,
+	})
+	defer d.Close()
+	s := New(d.Factor(), nil, g.N, Options{Durable: d, InitialGeneration: d.BootGeneration()})
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	defer fault.Reset()
+	if err := fault.Enable("core.factorio.sync", "sleep=1s@1"); err != nil {
+		t.Fatal(err)
+	}
+	bootCkpts := d.checkpoints.Load()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	//lint:ignore nakedgo test goroutine, exits with the cancelled ctx
+	go s.RunCheckpointer(ctx)
+
+	// One journaled update crosses the record threshold; wait until the
+	// checkpointer is parked inside the stalled sync.
+	e0, e1 := g.Edges()[0], g.Edges()[1]
+	postUpdate(t, srv.URL, updateRequest{
+		Edges: []core.EdgeDelta{{U: e0.U, V: e0.V, W: e0.W * 0.1}},
+	}, 200)
+	deadline := time.Now().Add(5 * time.Second)
+	for fault.Visits("core.factorio.sync") == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("background checkpoint never started")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	postUpdate(t, srv.URL, updateRequest{
+		Mode: "prepare", Txn: "during-ckpt",
+		Edges: []core.EdgeDelta{{U: e1.U, V: e1.V, W: e1.W * 0.1}},
+	}, 200)
+	out := postUpdate(t, srv.URL, updateRequest{Mode: "commit", Txn: "during-ckpt"}, 200)
+	if out["generation"].(float64) != 3 {
+		t.Fatalf("commit response %v, want generation 3", out)
+	}
+	if n := d.checkpoints.Load(); n != bootCkpts {
+		t.Fatalf("checkpoint finished before the commit (%d → %d): the stall did not overlap it", bootCkpts, n)
+	}
+
+	for {
+		st := d.Snapshot(s.generation.Load())
+		if st.LastCheckpointGeneration == 3 && st.JournalRecords == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("checkpointer never caught up with generation 3: %+v", st)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	_, meta, err := core.LoadFactorFileMeta(filepath.Join(dir, CheckpointFile))
+	if err != nil || meta.Generation != 3 {
+		t.Fatalf("checkpoint on disk: generation %d, err %v; want 3", meta.Generation, err)
+	}
+}
+
+// TestDurableCommitWaitsOutCheckpointCapture: the background
+// checkpointer holds the swap serialization while it captures its
+// snapshot. A 2PC commit arriving during the capture must wait it out
+// and succeed, not be refused with 409 — a refused commit takes the
+// worker out of the coordinator's rotation, and at 10 updates/s the
+// catch-up stream then trails the live one for seconds.
+func TestDurableCommitWaitsOutCheckpointCapture(t *testing.T) {
+	dir := t.TempDir()
+	g := durableGraph()
+	d := openDurableT(t, dir, g, DurableOptions{
+		CheckpointRecords:  1,
+		CheckpointInterval: 5 * time.Millisecond,
+	})
+	defer d.Close()
+	s := New(d.Factor(), nil, g.N, Options{Durable: d, InitialGeneration: d.BootGeneration()})
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	defer fault.Reset()
+
+	// One journaled update puts the journal over the record threshold;
+	// then a transaction is prepared before the checkpointer starts.
+	e0, e1 := g.Edges()[0], g.Edges()[1]
+	postUpdate(t, srv.URL, updateRequest{
+		Edges: []core.EdgeDelta{{U: e0.U, V: e0.V, W: e0.W * 0.1}},
+	}, 200)
+	postUpdate(t, srv.URL, updateRequest{
+		Mode: "prepare", Txn: "during-capture",
+		Edges: []core.EdgeDelta{{U: e1.U, V: e1.V, W: e1.W * 0.1}},
+	}, 200)
+
+	if err := fault.Enable("serve.checkpoint.capture", "sleep=500ms@1"); err != nil {
+		t.Fatal(err)
+	}
+	bootCkpts := d.checkpoints.Load()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	//lint:ignore nakedgo test goroutine, exits with the cancelled ctx
+	go s.RunCheckpointer(ctx)
+	deadline := time.Now().Add(5 * time.Second)
+	for fault.Visits("serve.checkpoint.capture") == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("background checkpoint never started its capture")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if n := d.checkpoints.Load(); n != bootCkpts {
+		t.Fatalf("checkpoint finished before the commit (%d → %d): the stall did not overlap it", bootCkpts, n)
+	}
+	out := postUpdate(t, srv.URL, updateRequest{Mode: "commit", Txn: "during-capture"}, 200)
+	if out["generation"].(float64) != 3 {
+		t.Fatalf("commit response %v, want generation 3", out)
+	}
+
+	for {
+		st := d.Snapshot(s.generation.Load())
+		if st.LastCheckpointGeneration == 3 && st.JournalRecords == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("checkpointer never caught up with generation 3: %+v", st)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }

@@ -162,6 +162,11 @@ type Server struct {
 
 	reload    func(ctx context.Context) (*core.Factor, *core.Result, error)
 	reloading atomic.Bool // serializes /admin/reload and /admin/update swaps
+	// captureMu is held by the background checkpointer for the whole of
+	// its brief reloading hold (the checkpoint capture); update steps take
+	// it around their CAS attempt (acquireSwap), so they wait a capture
+	// out instead of being refused by it.
+	captureMu sync.Mutex
 	notReady  atomic.Bool // true while a reload rebuilds the factor
 
 	// Live updates (update.go). generation stamps engines: it advances on

@@ -193,8 +193,19 @@ func (s *Server) checkGenWindow(req *updateRequest) (alreadyApplied bool, err er
 	return false, nil
 }
 
+// acquireSwap takes the reloading CAS for an update step. A background
+// checkpoint holds the CAS only to capture its snapshot, and does so
+// under captureMu, so the step waits the capture out: a refused 2PC
+// commit would take this worker out of the coordinator's rotation. A
+// reload or another update step still makes it fail.
+func (s *Server) acquireSwap() bool {
+	s.captureMu.Lock()
+	defer s.captureMu.Unlock()
+	return s.reloading.CompareAndSwap(false, true)
+}
+
 func (s *Server) updateApply(w http.ResponseWriter, r *http.Request, req *updateRequest) {
-	if !s.reloading.CompareAndSwap(false, true) {
+	if !s.acquireSwap() {
 		w.Header().Set("Retry-After", RetryAfterDefault)
 		s.writeErr(w, http.StatusConflict, fmt.Errorf("a reload or update is already in progress"))
 		return
@@ -246,7 +257,7 @@ func (s *Server) updatePrepare(w http.ResponseWriter, r *http.Request, req *upda
 	// release the CAS afterwards: a coordinator crash between prepare and
 	// commit must not wedge the worker. Staleness is re-checked at commit
 	// by the updater instead.
-	if !s.reloading.CompareAndSwap(false, true) {
+	if !s.acquireSwap() {
 		w.Header().Set("Retry-After", RetryAfterDefault)
 		s.writeErr(w, http.StatusConflict, fmt.Errorf("a reload or update is already in progress"))
 		return
@@ -290,7 +301,7 @@ func (s *Server) updateCommit(w http.ResponseWriter, req *updateRequest) {
 		s.writeErr(w, http.StatusConflict, err)
 		return
 	}
-	if !s.reloading.CompareAndSwap(false, true) {
+	if !s.acquireSwap() {
 		w.Header().Set("Retry-After", RetryAfterDefault)
 		s.writeErr(w, http.StatusConflict, fmt.Errorf("a reload or update is already in progress"))
 		return
@@ -332,7 +343,7 @@ func (s *Server) updateResync(w http.ResponseWriter, r *http.Request, req *updat
 		s.writeErr(w, http.StatusBadRequest, fmt.Errorf("resync needs an explicit target generation"))
 		return
 	}
-	if !s.reloading.CompareAndSwap(false, true) {
+	if !s.acquireSwap() {
 		w.Header().Set("Retry-After", RetryAfterDefault)
 		s.writeErr(w, http.StatusConflict, fmt.Errorf("a reload or update is already in progress"))
 		return

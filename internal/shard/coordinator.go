@@ -378,8 +378,9 @@ func (c *Coordinator) probeAll(ctx context.Context) {
 }
 
 // probe checks one worker's /readyz, recording the factor generation
-// the payload carries.
+// the payload carries unless a newer one was recorded meanwhile.
 func (c *Coordinator) probe(ctx context.Context, ws *workerState) error {
+	before := ws.gen.Load()
 	pctx, cancel := context.WithTimeout(ctx, c.opts.ProbeTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(pctx, http.MethodGet, ws.w.URL+"/readyz", nil)
@@ -399,7 +400,11 @@ func (c *Coordinator) probe(ctx context.Context, ws *workerState) error {
 		Generation uint64 `json:"generation"`
 	}
 	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&body); err == nil && body.Generation > 0 {
-		ws.gen.Store(body.Generation)
+		// A commit round that finished while the probe was in flight
+		// already recorded a newer generation; the probe's reading
+		// predates it and must not overwrite it, or the prober would
+		// hold a current worker out of rotation as lagging.
+		ws.gen.CompareAndSwap(before, body.Generation)
 	}
 	return nil
 }

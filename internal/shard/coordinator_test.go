@@ -239,3 +239,54 @@ func TestDiscoveryRejectsVertexMismatch(t *testing.T) {
 		t.Fatalf("mismatched shard set accepted (err=%v)", err)
 	}
 }
+
+// TestProbeKeepsNewerCommitGeneration: a /readyz probe in flight while
+// a commit round finishes carries the worker's generation from before
+// the commit. The prober must not store that reading over the newer
+// generation the commit round recorded, and so must not hold a current
+// worker out of rotation as lagging.
+func TestProbeKeepsNewerCommitGeneration(t *testing.T) {
+	entered, release := make(chan struct{}), make(chan struct{})
+	var block atomic.Bool
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /health", func(rw http.ResponseWriter, _ *http.Request) {
+		json.NewEncoder(rw).Encode(map[string]any{"vertices": stubVertices, "generation": 1})
+	})
+	mux.HandleFunc("GET /readyz", func(rw http.ResponseWriter, _ *http.Request) {
+		if block.Load() {
+			entered <- struct{}{}
+			<-release
+		}
+		io.WriteString(rw, `{"ready":true,"generation":1}`)
+	})
+	mux.HandleFunc("GET /dist", okDist)
+	slow := &stubWorker{srv: httptest.NewServer(mux)}
+	t.Cleanup(slow.srv.Close)
+	c := newTestCoordinator(t, slow, newStubWorker(t, okDist))
+	for _, ws := range c.workers {
+		ws.gen.Store(1)
+	}
+	c.expectedGen.Store(1)
+
+	block.Store(true)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		c.probeAll(t.Context())
+	}()
+	<-entered
+	// A commit round completes while w1's probe is in flight.
+	c.expectedGen.Store(2)
+	for _, ws := range c.workers {
+		ws.gen.Store(2)
+	}
+	close(release)
+	<-done
+
+	if g := c.workers[0].gen.Load(); g != 2 {
+		t.Fatalf("w1 generation %d after the stale probe, want 2", g)
+	}
+	if !c.table.Alive(0) {
+		t.Fatal("stale probe reading held a current worker out of rotation")
+	}
+}
